@@ -12,19 +12,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .counting import ComponentCapError, RankBackendConfig, component_value, product_tree
-from .graphs import components
 from .instances import (
     FactorDistribution,
     Instance,
     InstanceParseError,
     ResampleBudgetError,
     load_instance,
-    satisfiable,
     save_instance,
 )
 from .stats import functionals, thresholds, xi
-from .structure import component_satisfiable, decouple, frozen_subgraph
-from .sweep import generate_instance, parse_config, run_sweep
+from .structure import component_satisfiable, decouple
+from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
 
 
 def _build_dist(f: Optional[int], q: str) -> FactorDistribution:
@@ -63,54 +61,53 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.file)
-    dec = decouple(inst, args.cutoff_c)
-    rep = components(inst.graph)
-    frustrated = dec.label == "frustrated"
-    residual_of: dict[int, int] = {}
-    for comp in dec.residual_components:
-        root = min(comp)
-        residual_of[root] = len(comp)
+    meas = analyze_instance(inst, args.cutoff_c)
+    dec, rep = meas["decomposition"], meas["report"]
+    frustrated = meas["frustrated"]
+    comp_of = [0] * inst.n
+    for cid, comp in enumerate(rep.components):
+        for v in comp:
+            comp_of[v] = cid
+    frozen_in = [0] * len(rep.components)
+    for v in dec.frozen:
+        frozen_in[comp_of[v]] += 1
+    residual_in = [0] * len(rep.components)
+    for rc in dec.residual_components:
+        cid = comp_of[rc[0]]
+        residual_in[cid] = max(residual_in[cid], len(rc))
     print(
         f"instance n={inst.n} m={inst.m} f={inst.dist.f} "
         f"model={inst.graph.model_tag()} cond={inst.conditioning}"
     )
     print(f"cutoff={dec.cutoff} (c*log2(n))")
     for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
-        cset = set(comp)
-        frozen_here = sum(1 for v in dec.frozen if v in cset)
-        res_here = max(
-            (len(rc) for rc in dec.residual_components if rc[0] in cset), default=0
-        )
         if frustrated and not component_satisfiable(inst, comp):
             label = "frustrated"
         elif len(comp) <= dec.cutoff:
             label = "highly_disconnected"
-        elif res_here <= dec.cutoff:
+        elif residual_in[cid] <= dec.cutoff:
             label = "highly_decoupled"
         else:
             label = "unclassified"
         print(
-            f"C {cid} size={len(comp)} class={cls} frozen={frozen_here} "
-            f"residual_max={res_here} label={label}"
+            f"C {cid} size={len(comp)} class={cls} frozen={frozen_in[cid]} "
+            f"residual_max={residual_in[cid]} label={label}"
         )
-    core = 0
-    if not frustrated and dec.frozen:
-        core = len(frozen_subgraph(inst, dec.frozen).core)
     print(
         f"GLOBAL frustrated={int(frustrated)} label={dec.label} "
-        f"frozen={len(dec.frozen)} frozen_core={core} "
-        f"max_comp={dec.max_component} residual_max={dec.residual_max}"
+        f"frozen={len(dec.frozen)} frozen_core={meas['frozen_core']} "
+        f"max_comp={rep.max_size} residual_max={dec.residual_max}"
     )
     return 0
 
 
 def _cmd_count(args) -> int:
     inst = load_instance(args.file)
-    if not satisfiable(inst):
+    dec = decouple(inst)
+    if dec.label == "frustrated":
         print("VALUE 0 FRUSTRATED")
         return 0
     cfg = RankBackendConfig(max_component_qubits=args.max_component)
-    dec = decouple(inst)
     values = []
     for cid, comp in enumerate(dec.residual_components):
         val = component_value(inst, comp, cfg, frozen=dec.frozen)

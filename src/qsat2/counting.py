@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .exactq import GQ_ONE, GaussianRational
+from .graphs import components
 from .instances import Instance, satisfiable
+from .structure import Decomposition, decouple
 
 # 62-bit primes with p = 1 (mod 4); the second and later entries verify the
 # first, and exact arithmetic settles any disagreement.
@@ -296,6 +298,24 @@ def product_tree(values: Sequence[int]) -> int:
     return heap[0]
 
 
+def decomposition_value(
+    inst: Instance, dec: Decomposition, config: RankBackendConfig = DEFAULT_CONFIG
+) -> int:
+    """Ground-space dimension from a decomposition of `inst`; 0 iff frustrated.
+
+    Each frozen qubit contributes a one-dimensional factor, so the value is
+    the product over the residual components.
+    """
+    if dec.label == "frustrated":
+        return 0
+    return product_tree(
+        [
+            component_value(inst, comp, config, frozen=dec.frozen)
+            for comp in dec.residual_components
+        ]
+    )
+
+
 def instance_value(
     inst: Instance,
     config: RankBackendConfig = DEFAULT_CONFIG,
@@ -303,26 +323,17 @@ def instance_value(
 ) -> int:
     """Dimension of the instance's full ground space; 0 iff frustrated.
 
-    With decoupling, frozen qubits are removed first (each contributes a
-    one-dimensional factor) and the residual components are counted
-    independently.  Without it, raw connected components are used; both
-    routes agree whenever the caps allow computing them.
+    With decoupling, frozen qubits are removed first and the residual
+    components are counted independently.  Without it, raw connected
+    components are used; both routes agree whenever the caps allow
+    computing them.
     """
+    if use_decoupling:
+        return decomposition_value(inst, decouple(inst), config)
     if not satisfiable(inst):
         return 0
-    if use_decoupling:
-        from . import structure
-
-        dec = structure.decouple(inst)
-        values = [
-            component_value(inst, comp, config, frozen=dec.frozen)
-            for comp in dec.residual_components
-        ]
-    else:
-        from .graphs import components
-
-        values = [
-            component_value(inst, comp, config)
-            for comp in components(inst.graph).components
-        ]
+    values = [
+        component_value(inst, comp, config)
+        for comp in components(inst.graph).components
+    ]
     return product_tree(values)

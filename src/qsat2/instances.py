@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .constraints import BraConstraint, ProductConstraint
+from .constraints import ProductConstraint
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
 from .graphs import Graph, LatticeInfo
 from .twosat import TwoSatEngine
@@ -153,10 +153,6 @@ class Instance:
     def constraints(self) -> Iterator[ProductConstraint]:
         for (u, v), (h, j) in zip(self.graph.edges, self.pairs):
             yield ProductConstraint(u, v, h, j)
-
-    def realized(self) -> Iterator[BraConstraint]:
-        for c in self.constraints():
-            yield c.realize(self.dist.factors)
 
     def edge_tuples(self) -> Iterator[tuple[int, int, int, int]]:
         for (u, v), (h, j) in zip(self.graph.edges, self.pairs):

@@ -1,11 +1,17 @@
-"""Structural analysis: loop constraints, fixed states, frozen cores.
+"""Structural analysis: fixed states, frozen cores, decoupling, certificates.
 
-A cyclic walk whose junctions all stay alive carries a nonzero chain
-constraint from a vertex back to itself, restricting that vertex to one of
-at most two kernel states (one per end factor).  Accumulating these option
-sets drives everything here: frustration certificates (empty intersection),
-fixed-state detection (singleton intersection plus propagation), frozen
-subgraph extraction, and the decoupled decomposition used by the counter.
+The fixed (frozen) states are exactly the 2-SAT backbone: the kernel states
+that every satisfying product assignment shares.  One engine solve decides
+satisfiability and yields a witness; the backbone is found by probing the
+witness's states with the engine's denial closure.  Removing the frozen
+qubits leaves the residual components that `decouple` classifies and the
+counter counts one by one.
+
+Loop option sets explain frustration: a cyclic walk whose junctions all stay
+alive carries a nonzero chain constraint from a vertex back to itself,
+restricting that vertex to one of at most two kernel states (one per end
+factor).  A vertex whose option sets admit no common state certifies that
+the instance is frustrated.
 """
 
 from __future__ import annotations
@@ -18,17 +24,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scc
 
-from .graphs import Domino, FigureEight, UnionFind, components
+from .graphs import ComponentReport, Domino, FigureEight, UnionFind, components
 from .instances import Instance, satisfiable
 from .twosat import solve_edges
-
-
-@dataclass(frozen=True)
-class LoopOptionSet:
-    """States allowed at `vertex` by one surviving loop constraint."""
-
-    vertex: int
-    options: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,8 @@ class Decomposition:
     residual_components: tuple[tuple[int, ...], ...]
     label: str
     cutoff: int
-    max_component: int
     residual_max: int
+    report: ComponentReport
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +157,6 @@ def vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
     return out
 
 
-def loop_option_sets(inst: Instance) -> list[LoopOptionSet]:
-    return [
-        LoopOptionSet(v, opt)
-        for v, opts in sorted(vertex_options(inst).items())
-        for opt in opts
-    ]
-
-
 # ---------------------------------------------------------------------------
 # certificates and fixed states
 
@@ -202,29 +192,38 @@ def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
     raise AssertionError("unsatisfiable instance with all components satisfiable")
 
 
-def fixed_states(inst: Instance) -> dict[int, int]:
-    """Vertices provably stuck in one kernel state, as vertex -> factor.
+def _backbone(inst: Instance) -> Optional[dict[int, int]]:
+    """Entailed kernel states as vertex -> factor; None when unsatisfiable.
 
-    Seeds are vertices whose loop option sets intersect in a single factor;
-    each seed's forced closure then freezes everything it reaches.  The
-    result is sound (every satisfying state agrees with it) but makes no
-    completeness claim.
+    An entailed state is true in every satisfying assignment, so in
+    particular in the witness of the one full solve: only the witness's
+    states need probing.  A state (v, h) is entailed exactly when the
+    closure of its denial reaches (v, h), which is the condition for v to
+    hold the singleton loop option set {h}.  Each entailed state is frozen
+    with its closure, so later probes stop early at frozen states.
     """
-    if not satisfiable(inst):
-        raise ValueError("fixed states are only defined for satisfiable instances")
     eng = inst.engine()
-    for x, opts in sorted(vertex_options(inst).items()):
-        inter = frozenset.intersection(*opts)
-        if not inter:
-            raise AssertionError("empty option intersection on satisfiable instance")
-        if len(inter) == 1:
-            (h,) = inter
-            seen = eng.frozen[x]
-            if seen is None:
-                eng.freeze(x, h)
-            elif seen != h:
-                raise AssertionError("conflicting fixed states on satisfiable instance")
+    witness = eng.solve()
+    if witness is None:
+        return None
+    for v, h in enumerate(witness):
+        if h is not None and eng.frozen[v] is None and eng.pinned_to(v, h):
+            eng.freeze(v, h)
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}
+
+
+def fixed_states(inst: Instance) -> dict[int, int]:
+    """Vertices stuck in one kernel state, as vertex -> factor.
+
+    This is exactly the 2-SAT backbone: v maps to h iff every satisfying
+    product assignment puts v in the kernel state of factor h.  Complete as
+    well as sound, because 2-SAT entailment is decided by the closure of a
+    literal's denial (see `_backbone`).
+    """
+    frozen = _backbone(inst)
+    if frozen is None:
+        raise ValueError("fixed states are only defined for satisfiable instances")
+    return frozen
 
 
 def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
@@ -266,21 +265,22 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     Labels: frustrated when unsatisfiable; highly_disconnected when the
     original graph already has no component above the cutoff; highly
     decoupled when removing frozen vertices brings every residual component
-    under it; unclassified otherwise.  Cutoff is ceil(c * log2 n).
+    under it; unclassified otherwise.  Cutoff is ceil(c * log2 n).  The
+    component report of the original graph rides along as `report`.
     """
     g = inst.graph
     rep = components(g)
     cutoff = math.ceil(cutoff_c * math.log2(g.n)) if g.n > 1 else 1
-    if not satisfiable(inst):
+    frozen = _backbone(inst)
+    if frozen is None:
         return Decomposition(
             frozen={},
             residual_components=rep.components,
             label="frustrated",
             cutoff=cutoff,
-            max_component=rep.max_size,
             residual_max=rep.max_size,
+            report=rep,
         )
-    frozen = fixed_states(inst)
     alive = [v for v in range(g.n) if v not in frozen]
     index = {v: i for i, v in enumerate(alive)}
     uf = UnionFind(len(alive))
@@ -303,8 +303,8 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         residual_components=residual,
         label=label,
         cutoff=cutoff,
-        max_component=rep.max_size,
         residual_max=residual_max,
+        report=rep,
     )
 
 

@@ -7,16 +7,16 @@ CSV is byte-identical across runs and thread settings.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .counting import ComponentCapError, RankBackendConfig, instance_value
+from .counting import ComponentCapError, RankBackendConfig, decomposition_value
 from .graphs import (
     Graph,
-    components,
     enumerate_dominoes,
     enumerate_figure_eights,
     sample_er_graph,
@@ -69,6 +69,20 @@ class SweepConfig:
             raise ValueError("grid must increase strictly")
         if self.cond not in ("any", "free"):
             raise ValueError("cond must be 'any' or 'free'")
+        # everything a trial would reject, so a bad sweep fails before it runs
+        if not all(math.isfinite(gv) and gv >= 0 for gv in self.grid):
+            raise ValueError("grid values must be finite and non-negative")
+        if self.model == "er":
+            m, npairs = round(self.grid[-1] * self.n), self.n * (self.n - 1) // 2
+            if m > npairs:
+                raise ValueError(
+                    f"grid value {self.grid[-1]!r} gives m={m} edges, "
+                    f"more than the {npairs} vertex pairs of n={self.n}"
+                )
+        elif self.grid[-1] > 1:
+            raise ValueError("lattice grid values are bond probabilities in [0, 1]")
+        if self.value:
+            RankBackendConfig(max_component_qubits=self.max_component_qubits)
 
 
 @dataclass(frozen=True)
@@ -149,8 +163,8 @@ def analyze_instance(
     want_value: bool = False,
 ) -> dict:
     """Measurements backing one sweep row (and the analyze CLI)."""
-    rep = components(inst.graph)
     dec = decouple(inst, cutoff_c)
+    rep = dec.report
     frustrated = dec.label == "frustrated"
     core = 0
     if not frustrated and dec.frozen:
@@ -165,7 +179,6 @@ def analyze_instance(
         "decomposition": dec,
         "report": rep,
         "fig8_l3": None,
-        "dominoes": None,
         "value": "",
     }
     if want_fig8:
@@ -174,12 +187,10 @@ def analyze_instance(
             figure_eight_frustrated(inst, fe, ef)
             for fe in enumerate_figure_eights(inst.graph, 3)
         )
-    if inst.graph.lattice is not None:
-        out["dominoes"] = len(enumerate_dominoes(inst.graph))
     if want_value:
         cfg = RankBackendConfig(max_component_qubits=max_component_qubits)
         try:
-            out["value"] = str(instance_value(inst, cfg))
+            out["value"] = str(decomposition_value(inst, dec, cfg))
         except ComponentCapError as e:
             out["value"] = f"NA:{e.size}"
     return out
@@ -206,6 +217,9 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         want_fig8=cfg.fig8_l3,
         want_value=cfg.value,
     )
+    dominoes = None
+    if inst.graph.lattice is not None:
+        dominoes = len(enumerate_dominoes(inst.graph))
     ms = int(1000 * (time.perf_counter() - t0)) if cfg.timing else 0
     return TrialRecord(
         grid=gv,
@@ -220,7 +234,7 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         residual_max=meas["residual_max"],
         label=meas["label"],
         fig8_l3=meas["fig8_l3"],
-        dominoes=meas["dominoes"],
+        dominoes=dominoes,
         value=meas["value"],
         resamples=inst.resamples,
         ms=ms,

@@ -125,52 +125,21 @@ class TwoSatEngine:
 
         Assumes the current clause set is satisfiable.  Denying x[u,k]
         forces the far state of every u-edge carrying factor k on u's side;
-        u is pinned exactly when that closure collapses.
+        u is pinned exactly when that closure collapses.  The closure needs
+        no check for arriving back at (u, k): it could only arrive over a
+        k-edge of u, from that edge's far end in a state other than the one
+        the starts already gave it, and it reports that clash first (edges
+        join distinct vertices).  Returns None when the visit cap trips
+        before an answer is certain.
         """
         fu = self.frozen[u]
         if fu is not None:
             return fu == k
         starts = [(w, jw) for w, hv, jw in self.incident[u] if hv == k]
-        if not starts:
-            return False
-        visited: dict[int, int] = {}
-        queue: list[tuple[int, int]] = []
-        for w, s in starts:
-            fw = self.frozen[w]
-            if fw is not None and fw != s:
-                return True
-            if w in visited:
-                if visited[w] != s:
-                    return True
-                continue
-            if w == u and s == k:
-                return True
-            visited[w] = s
-            if fw is None:
-                queue.append((w, s))
-        head = 0
-        while head < len(queue):
-            v, s = queue[head]
-            head += 1
-            for w, hv, jw in self.incident[v]:
-                if hv == s:
-                    continue
-                if w == u and jw == k:
-                    return True
-                fw = self.frozen[w]
-                if fw is not None:
-                    if fw != jw:
-                        return True
-                    continue
-                seen = visited.get(w)
-                if seen is None:
-                    if cap is not None and len(visited) >= cap:
-                        return None
-                    visited[w] = jw
-                    queue.append((w, jw))
-                elif seen != jw:
-                    return True
-        return False
+        status, _ = self._closure(starts, cap)
+        if status == CAP:
+            return None
+        return status == CONFLICT
 
     def freeze(self, u: int, k: int) -> None:
         """Record that x[u,k] is entailed, together with its full closure."""

@@ -17,7 +17,8 @@ import numpy as np
 from qsat2.exactq import BraState
 from qsat2.graphs import Graph
 from qsat2.instances import FactorDistribution, Instance
-from qsat2.twosat import solve_edges
+from qsat2.structure import vertex_options
+from qsat2.twosat import TwoSatEngine, solve_edges
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -155,6 +156,102 @@ def naive_vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
         if opts:
             out[x] = opts
     return out
+
+
+def reference_pinned_to(
+    eng: TwoSatEngine, u: int, k: int, cap: Optional[int] = None
+) -> Optional[bool]:
+    """Stand-alone denial BFS: is x[u,k] entailed by the engine's clauses?
+
+    Denying x[u,k] forces the far state of every u-edge carrying factor k on
+    u's side; u is pinned exactly when that closure collapses.  Returns None
+    when the visit cap trips before an answer is certain.
+    """
+    fu = eng.frozen[u]
+    if fu is not None:
+        return fu == k
+    starts = [(w, jw) for w, hv, jw in eng.incident[u] if hv == k]
+    if not starts:
+        return False
+    visited: dict[int, int] = {}
+    queue: list[tuple[int, int]] = []
+    for w, s in starts:
+        fw = eng.frozen[w]
+        if fw is not None and fw != s:
+            return True
+        if w in visited:
+            if visited[w] != s:
+                return True
+            continue
+        if w == u and s == k:
+            return True
+        visited[w] = s
+        if fw is None:
+            queue.append((w, s))
+    head = 0
+    while head < len(queue):
+        v, s = queue[head]
+        head += 1
+        for w, hv, jw in eng.incident[v]:
+            if hv == s:
+                continue
+            if w == u and jw == k:
+                return True
+            fw = eng.frozen[w]
+            if fw is not None:
+                if fw != jw:
+                    return True
+                continue
+            seen = visited.get(w)
+            if seen is None:
+                if cap is not None and len(visited) >= cap:
+                    return None
+                visited[w] = jw
+                queue.append((w, jw))
+            elif seen != jw:
+                return True
+    return False
+
+
+def loop_seed_fixed_states(inst: Instance) -> dict[int, int]:
+    """Frozen set by loop option sets: singleton intersections, then closure.
+
+    Seeds are vertices whose loop option sets intersect in a single factor;
+    each seed's forced closure then freezes everything it reaches.  This is
+    the frozen-set algorithm `structure.decouple` used before it switched to
+    the backbone probe; the instance must be satisfiable.
+    """
+    eng = inst.engine()
+    for x, opts in sorted(vertex_options(inst).items()):
+        inter = frozenset.intersection(*opts)
+        if len(inter) == 1:
+            (h,) = inter
+            if eng.frozen[x] is None:
+                eng.freeze(x, h)
+            assert eng.frozen[x] == h, "conflicting fixed states"
+    return {v: s for v, s in enumerate(eng.frozen) if s is not None}
+
+
+def brute_force_backbone(inst: Instance) -> Optional[dict[int, int]]:
+    """States shared by every satisfying assignment, by exhaustion.
+
+    Each vertex takes one of f kernel states or none of them (value f); an
+    edge (u, v, h, j) wants u in state h or v in state j.  Returns None when
+    no assignment satisfies every edge.
+    """
+    f = inst.dist.f
+    edges = list(inst.edge_tuples())
+    common: Optional[list[Optional[int]]] = None
+    for assign in product(range(f + 1), repeat=inst.n):
+        if not all(assign[u] == h or assign[v] == j for u, v, h, j in edges):
+            continue
+        if common is None:
+            common = list(assign)
+        else:
+            common = [c if c == a else None for c, a in zip(common, assign)]
+    if common is None:
+        return None
+    return {v: s for v, s in enumerate(common) if s is not None and s < f}
 
 
 def naive_frustration_free(

@@ -1,0 +1,95 @@
+"""One whole-instance 2-SAT solve and one components pass per instance.
+
+Deciding, freezing and decoupling share a single engine solve, and every
+consumer (the counter, the sweep, the CLI) reads the decomposition that
+`decouple` built instead of deciding the instance again.
+"""
+
+import pytest
+
+import qsat2
+import qsat2.cli
+import qsat2.counting
+import qsat2.graphs
+import qsat2.structure
+import qsat2.sweep
+from qsat2.cli import main
+from qsat2.counting import instance_value
+from qsat2.instances import FactorDistribution, save_instance
+from qsat2.structure import decouple
+from qsat2.sweep import generate_instance, parse_config, run_sweep
+from qsat2.twosat import TwoSatEngine
+
+_MODULES = (qsat2, qsat2.graphs, qsat2.structure, qsat2.counting, qsat2.sweep, qsat2.cli)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count unit-free engine solves, component passes and state closures."""
+    seen = {"solve": 0, "components": 0, "state_reach": 0}
+    solve = TwoSatEngine.solve
+    components = qsat2.graphs.components
+    state_reach = qsat2.structure._state_reach
+
+    def counted_solve(self, units=(), want_witness=True):
+        if not units:
+            seen["solve"] += 1
+        return solve(self, units, want_witness)
+
+    def counted_components(g):
+        seen["components"] += 1
+        return components(g)
+
+    def counted_state_reach(inst):
+        seen["state_reach"] += 1
+        return state_reach(inst)
+
+    monkeypatch.setattr(TwoSatEngine, "solve", counted_solve)
+    # `from .graphs import components` copies the binding into each importer
+    for mod in _MODULES:
+        if getattr(mod, "components", None) is components:
+            monkeypatch.setattr(mod, "components", counted_components)
+    monkeypatch.setattr(qsat2.structure, "_state_reach", counted_state_reach)
+    return seen
+
+
+@pytest.fixture
+def sat_instance():
+    return generate_instance(
+        model="er", dist=FactorDistribution.uniform(3), seed=11, n=60, m=100, cond="free"
+    )
+
+
+def _assert_single_pass(calls, per=1):
+    assert calls == {"solve": per, "components": per, "state_reach": 0}
+
+
+def test_decouple_solves_once(calls, sat_instance):
+    dec = decouple(sat_instance)
+    assert dec.frozen and dec.label != "frustrated"
+    _assert_single_pass(calls)
+
+
+def test_instance_value_solves_once(calls, sat_instance):
+    assert instance_value(sat_instance) > 0
+    _assert_single_pass(calls)
+
+
+@pytest.mark.parametrize("command", ["count", "analyze"])
+def test_cli_solves_once(calls, sat_instance, tmp_path, capsys, command):
+    path = str(tmp_path / "sat.q2")
+    save_instance(sat_instance, path)
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    _assert_single_pass(calls)
+
+
+@pytest.mark.parametrize("value", ["on", "off"])
+@pytest.mark.parametrize("cond", ["any", "ff"])
+def test_sweep_trial_solves_once(calls, value, cond):
+    cfg = parse_config(
+        f"model=er\nn=80\ngrid=0.5,1.2\ntrials=3\nf=3\nq=uniform\nseed=6\n"
+        f"cond={cond}\nvalue={value}\n"
+    )
+    run_sweep(cfg)
+    _assert_single_pass(calls, per=6)

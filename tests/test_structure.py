@@ -22,11 +22,13 @@ from qsat2.structure import (
     fixed_states,
     frozen_subgraph,
     frustration_certificate,
-    loop_option_sets,
     vertex_options,
 )
 
-from oracles import naive_vertex_options
+from qsat2.seeding import derive_trial_seed
+from qsat2.sweep import generate_instance
+
+from oracles import brute_force_backbone, loop_seed_fixed_states, naive_vertex_options
 
 EXACT = RankBackendConfig(mode="exact_rational")
 
@@ -46,12 +48,6 @@ def test_alternating_triangle_option_set():
     assert set(opts) == {0, 1, 2}
     for v in range(3):
         assert opts[v] == [frozenset({0, 1})]
-    flat = loop_option_sets(inst)
-    assert [(o.vertex, o.options) for o in flat] == [
-        (0, frozenset({0, 1})),
-        (1, frozenset({0, 1})),
-        (2, frozenset({0, 1})),
-    ]
     assert satisfiable(inst)
     assert instance_value(inst, EXACT) == 2
 
@@ -172,6 +168,56 @@ def test_fixed_states_sound():
                     _assert_qubit_state(vec, pu, ket)
 
 
+# ER sizes keeping the (f+1)^n brute-force backbone cheap
+_MAX_BRUTE_N = {2: 9, 3: 7, 4: 6}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_frozen_set_is_the_backbone(model, f, cond, seed, data):
+    if model == "er":
+        n = data.draw(st.integers(2, _MAX_BRUTE_N[f]))
+        kw = dict(n=n, m=data.draw(st.integers(0, min(2 * n, n * (n - 1) // 2))))
+    else:
+        kw = dict(L=3 if f == 2 else 2, p=data.draw(st.floats(0.3, 1.0)))
+    inst = generate_instance(
+        model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
+    )
+    dec = decouple(inst)
+    backbone = brute_force_backbone(inst)
+    if backbone is None:
+        assert dec.label == "frustrated" and dec.frozen == {}
+    else:
+        assert dec.frozen == backbone == loop_seed_fixed_states(inst)
+
+
+@pytest.mark.parametrize("f,gamma", [(2, 0.8), (3, 1.5), (4, 2.5)])
+def test_frozen_set_matches_loop_seeds_at_scale(f, gamma):
+    frozen_total = 0
+    for t in range(3):
+        for cond in ("any", "free"):
+            inst = generate_instance(
+                model="er",
+                dist=FactorDistribution.uniform(f),
+                seed=derive_trial_seed(f, int(cond == "free"), t),
+                n=400,
+                m=round(gamma * 400),
+                cond=cond,
+            )
+            dec = decouple(inst)
+            if dec.label == "frustrated":
+                continue
+            assert dec.frozen == loop_seed_fixed_states(inst), (f, cond, t)
+            frozen_total += len(dec.frozen)
+    assert frozen_total > 0
+
+
 def _kernel_ket_coords(inst, s):
     from qsat2.exactq import kernel_ket
 
@@ -215,7 +261,7 @@ def test_decouple_on_frustrated():
     dec = decouple(inst)
     assert dec.label == "frustrated"
     assert dec.frozen == {}
-    assert dec.residual_max == dec.max_component == 5
+    assert dec.residual_max == dec.report.max_size == 5
 
 
 def test_decouple_labels():
@@ -225,14 +271,14 @@ def test_decouple_labels():
     dec = decouple(inst, cutoff_c=3.0)
     assert dec.cutoff == 18
     assert dec.label == "highly_disconnected"
-    assert dec.max_component <= 18
+    assert dec.report.max_size <= 18
 
     # one giant cycle, no freezing possible with f=1: unclassified
     n = 40
     ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     inst2 = inst_of(n, sorted(ring), [(0, 0)] * n, 1)
     dec2 = decouple(inst2, cutoff_c=1.0)
-    assert dec2.max_component == n
+    assert dec2.report.max_size == n
     assert dec2.label == "unclassified"
     assert dec2.frozen == {}
 

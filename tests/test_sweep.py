@@ -179,3 +179,41 @@ def test_sweep_config_validation():
         SweepConfig(model="er", grid=(1.0,), trials=1, dist=parse_config(BASE_CFG).dist, n=0)
     with pytest.raises(ValueError):
         SweepConfig(model="lat2", grid=(0.5,), trials=1, dist=parse_config(BASE_CFG).dist, L=1)
+
+
+# each of these would abort a sweep mid-run if parsing let it through
+INVALID_SWEEPS = {
+    "er_too_dense": ("model=er\nn=5\ngrid=0.5,3.0\ntrials=2\nf=2\n", "m=15"),
+    "negative_grid": ("model=er\nn=50\ngrid=-1.0\ntrials=2\nf=2\n", "non-negative"),
+    "bond_probability": ("model=lat2\nL=4\ngrid=1.5\ntrials=2\nf=2\n", r"\[0, 1\]"),
+    "value_cap_zero": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\nvalue=on\nmax_component_qubits=0\n",
+        "cap",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SWEEPS))
+def test_parse_config_rejects_what_a_trial_would(case):
+    text, msg = INVALID_SWEEPS[case]
+    with pytest.raises(ValueError, match=msg):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SWEEPS))
+def test_sweep_cli_exits_2_before_any_trial(case, tmp_path, capsys):
+    from qsat2.cli import main
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(INVALID_SWEEPS[case][0])
+    out = tmp_path / "out.csv"
+    with mock.patch.object(sweep_mod, "_run_trial", side_effect=AssertionError("trial ran")):
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cap_zero_allowed_without_value():
+    cfg = parse_config("model=er\nn=50\ngrid=1.0\ntrials=1\nf=2\nmax_component_qubits=0\n")
+    assert cfg.max_component_qubits == 0 and not cfg.value

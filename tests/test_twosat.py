@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qsat2.twosat import TwoSatEngine, solve_edges
 
-from oracles import brute_force_kernel_assignment
+from oracles import brute_force_kernel_assignment, reference_pinned_to
 
 
 @st.composite
@@ -82,6 +82,24 @@ def test_pinned_after_conflict_chain():
     assert eng.pinned_to(0, 0, cap=100) is True
     assert eng.pinned_to(1, 0, cap=100) is False
     assert solve_edges(2, [(0, 1, 0, 0), (0, 1, 0, 1)]) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems(), st.data())
+def test_pinned_to_matches_reference_bfs(sys_, data):
+    # any frozen cache, entailed or not: both walks read it the same way
+    n, f, edges = sys_
+    eng = TwoSatEngine(n)
+    for e in edges:
+        eng.add_edge(*e)
+    eng.frozen = data.draw(st.lists(st.none() | st.integers(0, f - 1), min_size=n, max_size=n))
+    cap = data.draw(st.integers(0, n))
+    for u in range(n):
+        for k in range(f):
+            full = eng.pinned_to(u, k)
+            assert full is not None
+            assert full == reference_pinned_to(eng, u, k), (u, k)
+            assert eng.pinned_to(u, k, cap=cap) in (None, full), (u, k, cap)
 
 
 def test_freeze_propagates():
