@@ -21,7 +21,7 @@ from .instances import (
     save_instance,
 )
 from .stats import functionals, thresholds, xi
-from .structure import component_satisfiable, decouple
+from .structure import decouple, satisfiable_by_component
 from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
 
 
@@ -80,8 +80,12 @@ def _cmd_analyze(args) -> int:
         f"model={inst.graph.model_tag()} cond={inst.conditioning}"
     )
     print(f"cutoff={dec.cutoff} (c*log2(n))")
+    if frustrated:
+        sat = satisfiable_by_component(inst, rep.components)
+    else:
+        sat = [True] * len(rep.components)
     for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
-        if frustrated and not component_satisfiable(inst, comp):
+        if not sat[cid]:
             label = "frustrated"
         elif len(comp) <= dec.cutoff:
             label = "highly_disconnected"

@@ -35,18 +35,14 @@ MOD_PRIMES = (
 @dataclass(frozen=True)
 class RankBackendConfig:
     mode: str = "modular"  # "modular" | "exact_rational"
-    prime: int = MOD_PRIMES[0]
     verify_primes: int = 2
     max_component_qubits: int = 16
 
     def __post_init__(self):
         if self.mode not in ("modular", "exact_rational"):
             raise ValueError(f"unknown rank mode {self.mode!r}")
-        if self.mode == "modular":
-            if self.prime % 4 != 1:
-                raise ValueError("modular prime must be 1 mod 4")
-            if not 1 <= self.verify_primes <= len(MOD_PRIMES):
-                raise ValueError(f"verify_primes must be in 1..{len(MOD_PRIMES)}")
+        if self.mode == "modular" and not 1 <= self.verify_primes <= len(MOD_PRIMES):
+            raise ValueError(f"verify_primes must be in 1..{len(MOD_PRIMES)}")
         if self.max_component_qubits < 1:
             raise ValueError("component cap must be positive")
 
@@ -215,9 +211,8 @@ def component_rank(
 ) -> int:
     if config.mode == "exact_rational":
         return _exact_rank(inst, component, frozen)
-    primes = [config.prime] + [p for p in MOD_PRIMES if p != config.prime]
     ranks = []
-    for p in primes[: config.verify_primes]:
+    for p in MOD_PRIMES[: config.verify_primes]:
         try:
             ranks.append(
                 _echelon_rank(_constraint_rows(inst, component, frozen), _ModField(p))

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from .constraints import ProductConstraint
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import Graph, LatticeInfo
+from .graphs import Graph, LatticeInfo, UnionFind
 from .twosat import TwoSatEngine
 
 
@@ -195,13 +195,6 @@ class ResampleBudgetError(RuntimeError):
         self.budget = budget
 
 
-# During conditioned generation each candidate factor pair needs a
-# satisfiability decision for "current instance plus this edge".  BFS
-# closure queries answer almost all of them; the visit cap below bounds the
-# work per query, and a tripped cap falls back to the full SCC solve.
-_QUERY_CAP = 2048
-
-
 def sample_frustration_free_instance(
     g: Graph, dist: FactorDistribution, seed: int, budget: int = 10_000
 ) -> Instance:
@@ -223,27 +216,14 @@ def sample_frustration_free_instance(
     eng = TwoSatEngine(g.n)
     frozen = eng.frozen
     # union-find over added edges: feasibility is automatic on tree components
-    parent = list(range(g.n))
+    uf = UnionFind(g.n)
     cyclic = [False] * g.n
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
     pairs: list[Optional[tuple[int, int]]] = [None] * g.m
     resamples = 0
 
     def feasible_side(w: int, s: int) -> bool:
-        if not cyclic[find(w)]:
-            return True
-        ans = eng.feasible(w, s, cap=_QUERY_CAP)
-        if ans is None:
-            ans = eng.solve(units=[(w, s)], want_witness=False) is not None
-        return ans
+        return not cyclic[uf.find(w)] or eng.feasible(w, s)
 
     for idx in order:
         u, v = g.edges[idx]
@@ -268,13 +248,9 @@ def sample_frustration_free_instance(
                     continue
             pairs[idx] = (h, j)
             eng.add_edge(u, v, h, j)
-            ru, rv = find(u), find(v)
-            closed_cycle = ru == rv
-            if closed_cycle:
-                cyclic[ru] = True
-            else:
-                parent[ru] = rv
-                cyclic[rv] = cyclic[ru] or cyclic[rv]
+            ru, rv = uf.find(u), uf.find(v)
+            closed_cycle = not uf.union(ru, rv)
+            cyclic[uf.find(ru)] = closed_cycle or cyclic[ru] or cyclic[rv]
             # cache entailed states: an infeasible side entails the other,
             # and a closed cycle can pin its endpoints
             if sat_u and not sat_v:
@@ -282,9 +258,9 @@ def sample_frustration_free_instance(
             elif sat_v and not sat_u:
                 eng.freeze(v, j)
             elif closed_cycle and sat_u and sat_v:
-                if frozen[u] is None and eng.pinned_to(u, h, cap=_QUERY_CAP):
+                if frozen[u] is None and eng.pinned_to(u, h):
                     eng.freeze(u, h)
-                if frozen[v] is None and eng.pinned_to(v, j, cap=_QUERY_CAP):
+                if frozen[v] is None and eng.pinned_to(v, j):
                     eng.freeze(v, j)
             break
 

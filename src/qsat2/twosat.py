@@ -15,9 +15,11 @@ therefore computed by a BFS over (vertex, factor) states alone:
     (v, s)  ->  (w, j)   for every edge (v, w) whose v-side factor is not s.
 
 A query literal is infeasible exactly when its closure tries to give two
-different states to one vertex.  The engine answers incremental queries with
-this BFS under a visit cap and falls back to a full strongly-connected
-component solve when the cap trips.
+different states to one vertex.  The closure records each vertex at most
+once (a second state at a vertex is the conflict that ends it), so one
+uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
+propagation is linear.  The full strongly-connected component solve is only
+for deciding the whole clause set at once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from scipy.sparse.csgraph import connected_components
 
 OK = 0
 CONFLICT = 1
-CAP = 2
 
 
 class TwoSatEngine:
@@ -58,15 +59,14 @@ class TwoSatEngine:
     # -- BFS closure ------------------------------------------------------
 
     def _closure(
-        self, starts: Sequence[tuple[int, int]], cap: Optional[int]
+        self, starts: Sequence[tuple[int, int]]
     ) -> tuple[int, dict[int, int]]:
         """Forced states reachable from `starts`, as a vertex -> factor map.
 
         Returns (OK, visited) when the closure is a consistent partial
         assignment, (CONFLICT, ...) when some vertex is forced two ways or
-        contradicts a frozen state, (CAP, ...) when the visit cap trips.
-        Expansion stops at states already recorded as frozen: their
-        consequences are frozen too.
+        contradicts a frozen state.  Expansion stops at states already
+        recorded as frozen: their consequences are frozen too.
         """
         visited: dict[int, int] = {}
         queue: list[tuple[int, int]] = []
@@ -96,8 +96,6 @@ class TwoSatEngine:
                     continue
                 seen = visited.get(w)
                 if seen is None:
-                    if cap is not None and len(visited) >= cap:
-                        return CAP, visited
                     visited[w] = jw
                     queue.append((w, jw))
                 elif seen != jw:
@@ -106,21 +104,20 @@ class TwoSatEngine:
 
     # -- queries ----------------------------------------------------------
 
-    def feasible(self, u: int, k: int, cap: Optional[int] = None) -> Optional[bool]:
+    def feasible(self, u: int, k: int) -> bool:
         """Can some satisfying assignment put u in factor-k's kernel state?
 
-        Assumes the current clause set is satisfiable.  Returns None when
-        the visit cap trips before an answer is certain.
+        Assumes the current clause set is satisfiable.  Then x[u,k] is
+        feasible exactly when its closure is consistent, so the one
+        closure, O(n + m), is the whole query.
         """
         fu = self.frozen[u]
         if fu is not None:
             return fu == k
-        status, _ = self._closure([(u, k)], cap)
-        if status == CAP:
-            return None
+        status, _ = self._closure([(u, k)])
         return status == OK
 
-    def pinned_to(self, u: int, k: int, cap: Optional[int] = None) -> Optional[bool]:
+    def pinned_to(self, u: int, k: int) -> bool:
         """Does every satisfying assignment put u in factor-k's kernel state?
 
         Assumes the current clause set is satisfiable.  Denying x[u,k]
@@ -129,21 +126,19 @@ class TwoSatEngine:
         no check for arriving back at (u, k): it could only arrive over a
         k-edge of u, from that edge's far end in a state other than the one
         the starts already gave it, and it reports that clash first (edges
-        join distinct vertices).  Returns None when the visit cap trips
-        before an answer is certain.
+        join distinct vertices).  The one closure, O(n + m), is the whole
+        query.
         """
         fu = self.frozen[u]
         if fu is not None:
             return fu == k
         starts = [(w, jw) for w, hv, jw in self.incident[u] if hv == k]
-        status, _ = self._closure(starts, cap)
-        if status == CAP:
-            return None
+        status, _ = self._closure(starts)
         return status == CONFLICT
 
     def freeze(self, u: int, k: int) -> None:
         """Record that x[u,k] is entailed, together with its full closure."""
-        status, visited = self._closure([(u, k)], None)
+        status, visited = self._closure([(u, k)])
         if status != OK:
             raise AssertionError("freeze called on a non-entailed state")
         for v, s in visited.items():
@@ -151,12 +146,8 @@ class TwoSatEngine:
 
     # -- full solve ---------------------------------------------------------
 
-    def solve(
-        self,
-        units: Sequence[tuple[int, int]] = (),
-        want_witness: bool = True,
-    ) -> Optional[list[Optional[int]]]:
-        """Solve the full clause set, optionally with unit clauses x[u,k].
+    def solve(self, want_witness: bool = True) -> Optional[list[Optional[int]]]:
+        """Solve the full clause set.
 
         Returns None when unsatisfiable, otherwise one satisfying partial
         assignment: states[v] is a factor index or None when no edge needs
@@ -176,8 +167,6 @@ class TwoSatEngine:
         for u, v, h, j in self.edges:
             vid(u, h)
             vid(v, j)
-        for u, k in units:
-            vid(u, k)
 
         states_at: list[list[int]] = [[] for _ in range(self.n)]
         for (v, s), i in var_of.items():
@@ -202,9 +191,6 @@ class TwoSatEngine:
                 for b in range(len(ss)):
                     if a != b:
                         arc(2 * ia, 2 * var_of[(v, ss[b])] + 1)
-        for u, k in units:
-            i = var_of[(u, k)]
-            arc(2 * i + 1, 2 * i)
 
         nlit = 2 * len(var_of)
         if nlit == 0:
@@ -254,11 +240,10 @@ class TwoSatEngine:
 def solve_edges(
     n: int,
     edges: Sequence[tuple[int, int, int, int]],
-    units: Sequence[tuple[int, int]] = (),
     want_witness: bool = True,
 ) -> Optional[list[Optional[int]]]:
     """One-shot solve for an edge list, without building queries first."""
     eng = TwoSatEngine(n)
     for u, v, h, j in edges:
         eng.add_edge(u, v, h, j)
-    return eng.solve(units, want_witness)
+    return eng.solve(want_witness=want_witness)

@@ -158,14 +158,11 @@ def naive_vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
     return out
 
 
-def reference_pinned_to(
-    eng: TwoSatEngine, u: int, k: int, cap: Optional[int] = None
-) -> Optional[bool]:
+def reference_pinned_to(eng: TwoSatEngine, u: int, k: int) -> bool:
     """Stand-alone denial BFS: is x[u,k] entailed by the engine's clauses?
 
     Denying x[u,k] forces the far state of every u-edge carrying factor k on
-    u's side; u is pinned exactly when that closure collapses.  Returns None
-    when the visit cap trips before an answer is certain.
+    u's side; u is pinned exactly when that closure collapses.
     """
     fu = eng.frozen[u]
     if fu is not None:
@@ -204,8 +201,6 @@ def reference_pinned_to(
                 continue
             seen = visited.get(w)
             if seen is None:
-                if cap is not None and len(visited) >= cap:
-                    return None
                 visited[w] = jw
                 queue.append((w, jw))
             elif seen != jw:

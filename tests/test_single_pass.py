@@ -25,16 +25,15 @@ _MODULES = (qsat2, qsat2.graphs, qsat2.structure, qsat2.counting, qsat2.sweep, q
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count unit-free engine solves, component passes and state closures."""
+    """Count engine solves, component passes and state closures."""
     seen = {"solve": 0, "components": 0, "state_reach": 0}
     solve = TwoSatEngine.solve
     components = qsat2.graphs.components
     state_reach = qsat2.structure._state_reach
 
-    def counted_solve(self, units=(), want_witness=True):
-        if not units:
-            seen["solve"] += 1
-        return solve(self, units, want_witness)
+    def counted_solve(self, want_witness=True):
+        seen["solve"] += 1
+        return solve(self, want_witness)
 
     def counted_components(g):
         seen["components"] += 1

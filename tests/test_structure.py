@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsat2.counting import RankBackendConfig, component_value, instance_value, kernel_basis
@@ -22,6 +22,7 @@ from qsat2.structure import (
     fixed_states,
     frozen_subgraph,
     frustration_certificate,
+    satisfiable_by_component,
     vertex_options,
 )
 
@@ -318,8 +319,23 @@ def test_component_satisfiable_split():
     assert not satisfiable(inst)
     assert not component_satisfiable(inst, (0, 1, 2, 3, 4))
     assert component_satisfiable(inst, (5, 6))
+    assert satisfiable_by_component(inst, ((0, 1, 2, 3, 4), (5, 6))) == [False, True]
     cert = frustration_certificate(inst)
     assert cert.kind == "loop" and cert.vertex == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["er", "lat2"]), st.integers(0, 10**6))
+def test_satisfiable_by_component_matches_one_at_a_time(model, seed):
+    # sparse f=4 instances: most are frustrated, with several nontrivial
+    # components of which only some are frustrated
+    kw = dict(n=60, m=60) if model == "er" else dict(L=8, p=0.6)
+    inst = generate_instance(model, FactorDistribution.uniform(4), seed, **kw)
+    assume(not satisfiable(inst))
+    comps = components(inst.graph).components
+    verdicts = satisfiable_by_component(inst, comps)
+    assert verdicts == [component_satisfiable(inst, c) for c in comps]
+    assert not all(verdicts)
 
 
 # --- small-subgraph frustration predicates -----------------------------------

@@ -1,7 +1,7 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsat2.twosat import TwoSatEngine, solve_edges
@@ -38,29 +38,57 @@ def test_solve_matches_brute_force(sys_):
             assert su == h or sv == j
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_systems(), st.data())
-def test_units_match_brute_force(sys_, data):
-    n, f, edges = sys_
-    units = [
-        (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, f - 1)))
-        for _ in range(data.draw(st.integers(1, 2)))
+def _satisfying(n, f, edges):
+    """Every satisfying assignment; value f means no kernel state at all."""
+    return [
+        assign
+        for assign in product(range(f + 1), repeat=n)
+        if all(assign[u] == h or assign[v] == j for u, v, h, j in edges)
     ]
-    got = solve_edges(n, edges, units=units)
-    ref = None
-    for assign in _assignments(n, f):
-        if all(assign[u] == s for u, s in units) and all(
-            assign[u] == h or assign[v] == j for u, v, h, j in edges
-        ):
-            ref = assign
-            break
-    assert (got is not None) == (ref is not None)
 
 
-def _assignments(n, f):
-    from itertools import product
+@settings(max_examples=150, deadline=None)
+@given(small_systems(), st.booleans())
+def test_queries_match_brute_force(sys_, freeze_backbone):
+    n, f, edges = sys_
+    sats = _satisfying(n, f, edges)
+    assume(sats)
+    eng = TwoSatEngine(n)
+    for e in edges:
+        eng.add_edge(*e)
+    if freeze_backbone:
+        for v, s in enumerate(sats[0]):
+            if s < f and all(a[v] == s for a in sats):
+                eng.freeze(v, s)
+    for u in range(n):
+        for k in range(f):
+            assert eng.feasible(u, k) is any(a[u] == k for a in sats), (u, k)
+            assert eng.pinned_to(u, k) is all(a[u] == k for a in sats), (u, k)
 
-    return product(range(f), repeat=n)
+
+def test_queries_on_a_long_chain():
+    # edges (i, i+1, 1, 0) pass state 0 down the chain, and the closing edge
+    # (n-1, 0, 1, 1) sends it back to vertex 0 as state 1, so both queries
+    # below walk all n vertices before they meet the conflict
+    n = 3000
+    edges = [(i, i + 1, 1, 0) for i in range(n - 1)] + [(n - 1, 0, 1, 1)]
+    eng = TwoSatEngine(n)
+    for e in edges:
+        eng.add_edge(*e)
+    assert solve_edges(n, edges) is not None
+
+    def forced(u, k):
+        # unless u takes state k, these two edges need the fresh vertex n in
+        # states 0 and 1 at once
+        extra = [(u, n, k, 0), (u, n, k, 1)]
+        return solve_edges(n + 1, edges + extra, want_witness=False) is not None
+
+    assert eng.feasible(0, 0) is False
+    assert eng.pinned_to(0, 1) is True
+    for u in (0, 1, n // 2, n - 1):
+        for k in (0, 1):
+            assert eng.feasible(u, k) is forced(u, k), (u, k)
+            assert eng.pinned_to(u, k) is reference_pinned_to(eng, u, k), (u, k)
 
 
 def test_feasible_and_pinned():
@@ -68,9 +96,9 @@ def test_feasible_and_pinned():
     eng.add_edge(0, 1, 0, 0)
     eng.add_edge(1, 2, 1, 0)
     # vertex 1 in state 0 satisfies the first edge; the second forces 2 -> 0
-    assert eng.feasible(1, 0, cap=100) is True
-    assert eng.feasible(1, 1, cap=100) is True
-    assert eng.pinned_to(1, 0, cap=100) is False
+    assert eng.feasible(1, 0) is True
+    assert eng.feasible(1, 1) is True
+    assert eng.pinned_to(1, 0) is False
 
 
 def test_pinned_after_conflict_chain():
@@ -79,8 +107,8 @@ def test_pinned_after_conflict_chain():
     eng.add_edge(0, 1, 0, 1)
     # leaving state 0 at vertex 0 would demand vertex 1 in states 0 and 1 at
     # once, so vertex 0 is pinned
-    assert eng.pinned_to(0, 0, cap=100) is True
-    assert eng.pinned_to(1, 0, cap=100) is False
+    assert eng.pinned_to(0, 0) is True
+    assert eng.pinned_to(1, 0) is False
     assert solve_edges(2, [(0, 1, 0, 0), (0, 1, 0, 1)]) is not None
 
 
@@ -93,13 +121,9 @@ def test_pinned_to_matches_reference_bfs(sys_, data):
     for e in edges:
         eng.add_edge(*e)
     eng.frozen = data.draw(st.lists(st.none() | st.integers(0, f - 1), min_size=n, max_size=n))
-    cap = data.draw(st.integers(0, n))
     for u in range(n):
         for k in range(f):
-            full = eng.pinned_to(u, k)
-            assert full is not None
-            assert full == reference_pinned_to(eng, u, k), (u, k)
-            assert eng.pinned_to(u, k, cap=cap) in (None, full), (u, k, cap)
+            assert eng.pinned_to(u, k) is reference_pinned_to(eng, u, k), (u, k)
 
 
 def test_freeze_propagates():
