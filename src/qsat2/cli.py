@@ -14,14 +14,13 @@ from typing import Optional, Sequence
 from .counting import ComponentCapError, RankBackendConfig, component_value, product_tree
 from .instances import (
     FactorDistribution,
-    Instance,
     InstanceParseError,
     ResampleBudgetError,
     load_instance,
     save_instance,
 )
 from .stats import functionals, thresholds, xi
-from .structure import decouple, satisfiable_by_component
+from .structure import component_satisfiable, decouple
 from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
 
 
@@ -80,10 +79,7 @@ def _cmd_analyze(args) -> int:
         f"model={inst.graph.model_tag()} cond={inst.conditioning}"
     )
     print(f"cutoff={dec.cutoff} (c*log2(n))")
-    if frustrated:
-        sat = satisfiable_by_component(inst, rep.components)
-    else:
-        sat = [True] * len(rep.components)
+    sat = [not frustrated or component_satisfiable(inst, c) for c in rep.components]
     for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
         if not sat[cid]:
             label = "frustrated"
@@ -106,12 +102,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    cfg = RankBackendConfig(max_component_qubits=args.max_component)
     inst = load_instance(args.file)
     dec = decouple(inst)
     if dec.label == "frustrated":
         print("VALUE 0 FRUSTRATED")
         return 0
-    cfg = RankBackendConfig(max_component_qubits=args.max_component)
     values = []
     for cid, comp in enumerate(dec.residual_components):
         val = component_value(inst, comp, cfg, frozen=dec.frozen)

@@ -155,36 +155,36 @@ def _constraint_rows(
 
     An edge may leave the component only toward a vertex frozen in the kernel
     state of that edge's own factor; such a constraint annihilates the frozen
-    state and imposes nothing here, so the row is skipped.
+    state and imposes nothing here, so the row is skipped.  Only the
+    component's incident edges are read, in `graph.edges` order.
     """
     comp = sorted(component)
     local = {v: i for i, v in enumerate(comp)}
     k = len(comp)
     factors = inst.dist.factors
-    for (u, v), (h, j) in zip(inst.graph.edges, inst.pairs):
-        inu, inv_ = u in local, v in local
-        if inu != inv_:
-            out_v, out_h = (v, j) if inu else (u, h)
-            if frozen is not None and frozen.get(out_v) == out_h:
+    for pu, u in enumerate(comp):
+        for v, h, j in inst.incident[u]:
+            pv = local.get(v)
+            if pv is None:
+                if frozen is not None and frozen.get(v) == j:
+                    continue
+                raise ValueError(f"edge ({min(u, v)},{max(u, v)}) crosses the component boundary")
+            if v < u:
                 continue
-            raise ValueError(f"edge ({u},{v}) crosses the component boundary")
-        if not inu:
-            continue
-        pu, pv = local[u], local[v]
-        bu, bv = factors[h], factors[j]
-        entries = []
-        for xu, cu in ((0, bu.c0), (1, bu.c1)):
-            for xv, cv in ((0, bv.c0), (1, bv.c1)):
-                coeff = cu * cv
-                if not coeff.is_zero():
-                    entries.append(((xu << pu) | (xv << pv), coeff))
-        others = [i for i in range(k) if i not in (pu, pv)]
-        for idx in range(1 << len(others)):
-            rest = 0
-            for b, pos in enumerate(others):
-                if idx >> b & 1:
-                    rest |= 1 << pos
-            yield [(rest | off, coeff) for off, coeff in entries]
+            bu, bv = factors[h], factors[j]
+            entries = []
+            for xu, cu in ((0, bu.c0), (1, bu.c1)):
+                for xv, cv in ((0, bv.c0), (1, bv.c1)):
+                    coeff = cu * cv
+                    if not coeff.is_zero():
+                        entries.append(((xu << pu) | (xv << pv), coeff))
+            others = [i for i in range(k) if i not in (pu, pv)]
+            for idx in range(1 << len(others)):
+                rest = 0
+                for b, pos in enumerate(others):
+                    if idx >> b & 1:
+                        rest |= 1 << pos
+                yield [(rest | off, coeff) for off, coeff in entries]
 
 
 def _echelon_rank(rows: Iterable, field, basis_out: Optional[dict] = None) -> int:
@@ -250,20 +250,14 @@ def kernel_basis(
     component size and the kernel dimension.
     """
     basis: dict[int, dict] = {}
-    _echelon_rank(_constraint_rows(inst, component), _ExactField(), basis_out=basis)
+    field = _ExactField()
+    _echelon_rank(_constraint_rows(inst, component), field, basis_out=basis)
     k = len(component)
     # reduced echelon: clear occurrences of other leading columns
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
         for other in [c for c in row if c in basis and c != lead]:
-            coeff = row.pop(other)
-            for col, val in basis[other].items():
-                cur = row.get(col)
-                nxt = (cur - coeff * val) if cur is not None else -(coeff * val)
-                if nxt.is_zero():
-                    row.pop(col, None)
-                else:
-                    row[col] = nxt
+            field.reduce_row(row, row.pop(other), basis[other])
     out = []
     free = [c for c in range(1 << k) if c not in basis]
     for c in free:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .constraints import ProductConstraint
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
 from .graphs import Graph, LatticeInfo, UnionFind
 from .twosat import TwoSatEngine
@@ -150,13 +150,22 @@ class Instance:
     def m(self) -> int:
         return self.graph.m
 
-    def constraints(self) -> Iterator[ProductConstraint]:
-        for (u, v), (h, j) in zip(self.graph.edges, self.pairs):
-            yield ProductConstraint(u, v, h, j)
-
     def edge_tuples(self) -> Iterator[tuple[int, int, int, int]]:
         for (u, v), (h, j) in zip(self.graph.edges, self.pairs):
             yield u, v, h, j
+
+    @cached_property
+    def incident(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per vertex, (other endpoint, own factor, other factor) per edge.
+
+        Entries follow `graph.edges` order.  Code that needs one component's
+        edges reads them here, in time proportional to the component.
+        """
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
+        for u, v, h, j in self.edge_tuples():
+            out[u].append((v, h, j))
+            out[v].append((u, j, h))
+        return tuple(map(tuple, out))
 
     def engine(self) -> TwoSatEngine:
         eng = TwoSatEngine(self.graph.n)

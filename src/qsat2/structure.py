@@ -162,38 +162,15 @@ def vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
 
 
 def component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:
-    """Kernel-state search restricted to one connected component."""
+    """Kernel-state search restricted to one connected component's edges."""
     local = {v: i for i, v in enumerate(sorted(comp))}
     edges = [
-        (local[u], local[v], h, j)
-        for u, v, h, j in inst.edge_tuples()
-        if u in local
+        (i, local[v], h, j)
+        for u, i in local.items()
+        for v, h, j in inst.incident[u]
+        if v > u
     ]
     return solve_edges(len(local), edges, want_witness=False) is not None
-
-
-def satisfiable_by_component(
-    inst: Instance, comps: Sequence[Sequence[int]]
-) -> list[bool]:
-    """`component_satisfiable` for each of the graph's components.
-
-    One pass over the edges buckets them by component (every edge lies in
-    exactly one), so deciding all components costs O(n + m), not one full
-    edge scan per component.
-    """
-    comp_of = [0] * inst.n
-    local = [0] * inst.n
-    for cid, comp in enumerate(comps):
-        for i, v in enumerate(sorted(comp)):
-            comp_of[v] = cid
-            local[v] = i
-    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
-    for u, v, h, j in inst.edge_tuples():
-        buckets[comp_of[u]].append((local[u], local[v], h, j))
-    return [
-        solve_edges(len(comp), edges, want_witness=False) is not None
-        for comp, edges in zip(comps, buckets)
-    ]
 
 
 def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
@@ -210,9 +187,8 @@ def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
         inter = frozenset.intersection(*opts)
         if not inter:
             return FrustrationCertificate("loop", x, tuple(opts))
-    comps = components(inst.graph).components
-    for comp, sat in zip(comps, satisfiable_by_component(inst, comps)):
-        if len(comp) > 1 and not sat:
+    for comp in components(inst.graph).components:
+        if len(comp) > 1 and not component_satisfiable(inst, comp):
             return FrustrationCertificate("twosat", comp[0])
     raise AssertionError("unsatisfiable instance with all components satisfiable")
 
@@ -284,6 +260,16 @@ def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
     )
 
 
+def component_cutoff(n: int, cutoff_c: float) -> int:
+    """Size cutoff ceil(c * log2 n) of the phase labels, 1 when n <= 1.
+
+    c must be positive and small enough that c * log2 n stays finite.
+    """
+    if not 0 < cutoff_c * math.log2(max(n, 2)) < math.inf:
+        raise ValueError(f"cutoff_c must be positive with c * log2 n finite, got {cutoff_c!r}")
+    return math.ceil(cutoff_c * math.log2(n)) if n > 1 else 1
+
+
 def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     """Remove the frozen closure and classify what remains.
 
@@ -295,7 +281,7 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     """
     g = inst.graph
     rep = components(g)
-    cutoff = math.ceil(cutoff_c * math.log2(g.n)) if g.n > 1 else 1
+    cutoff = component_cutoff(g.n, cutoff_c)
     frozen = _backbone(inst)
     if frozen is None:
         return Decomposition(

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .counting import ComponentCapError, RankBackendConfig, decomposition_value
 from .graphs import (
-    Graph,
     enumerate_dominoes,
     enumerate_figure_eights,
     sample_er_graph,
@@ -30,7 +29,13 @@ from .instances import (
     sample_instance,
 )
 from .seeding import FACTOR_STREAM, GRAPH_STREAM, derive_trial_seed, stream_seed
-from .structure import decouple, edge_factor_map, figure_eight_frustrated, frozen_subgraph
+from .structure import (
+    component_cutoff,
+    decouple,
+    edge_factor_map,
+    figure_eight_frustrated,
+    frozen_subgraph,
+)
 
 CSV_HEADER = (
     "grid,trial,seed,n,m,frustrated,max_comp,multicyclic,frozen_core,"
@@ -81,6 +86,7 @@ class SweepConfig:
                 )
         elif self.grid[-1] > 1:
             raise ValueError("lattice grid values are bond probabilities in [0, 1]")
+        component_cutoff(2, self.cutoff_c)
         if self.value:
             RankBackendConfig(max_component_qubits=self.max_component_qubits)
 
@@ -292,6 +298,12 @@ def parse_config(text: str) -> SweepConfig:
     def take(key: str, default: Optional[str] = None) -> Optional[str]:
         return kv.pop(key, default)
 
+    def flag(key: str) -> bool:
+        val = take(key, "off")
+        if val not in _BOOL:
+            raise ValueError(f"config key {key!r} takes one of {', '.join(_BOOL)}, not {val!r}")
+        return _BOOL[val]
+
     model = take("model", "er")
     grid = tuple(float(tok) for tok in (take("grid") or "").split(",") if tok.strip())
     trials = int(take("trials", "1"))
@@ -316,9 +328,9 @@ def parse_config(text: str) -> SweepConfig:
         cond=cond,
         cutoff_c=float(take("cutoff_c", "3.0")),
         max_component_qubits=int(take("max_component_qubits", "16")),
-        fig8_l3=_BOOL[take("fig8_l3", "off")],
-        value=_BOOL[take("value", "off")],
-        timing=_BOOL[take("timing", "off")],
+        fig8_l3=flag("fig8_l3"),
+        value=flag("value"),
+        timing=flag("timing"),
     )
     if kv:
         raise ValueError(f"unknown config keys: {', '.join(sorted(kv))}")

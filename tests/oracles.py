@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from qsat2.exactq import BraState
+from qsat2.exactq import BraState, GaussianRational
 from qsat2.graphs import Graph
 from qsat2.instances import FactorDistribution, Instance
 from qsat2.structure import vertex_options
@@ -96,6 +96,56 @@ def dense_component_value(inst: Instance, component: Sequence[int]) -> int:
 def dense_instance_value(inst: Instance) -> int:
     """Ground-space dimension of the whole instance by one dense rank."""
     return dense_component_value(inst, range(inst.n))
+
+
+def reference_constraint_rows(
+    inst: Instance, component: Sequence[int], frozen: Optional[dict] = None
+) -> Iterator[list[tuple[int, GaussianRational]]]:
+    """Sparse constraint rows of one component by a scan over every edge.
+
+    Same rows, row order and boundary rule as `counting._constraint_rows`:
+    an edge leaving the component is skipped when its outside endpoint is
+    frozen in that edge's own factor, and raises ValueError otherwise.
+    """
+    comp = sorted(component)
+    local = {v: i for i, v in enumerate(comp)}
+    k = len(comp)
+    factors = inst.dist.factors
+    for (u, v), (h, j) in zip(inst.graph.edges, inst.pairs):
+        inu, inv_ = u in local, v in local
+        if inu != inv_:
+            out_v, out_h = (v, j) if inu else (u, h)
+            if frozen is not None and frozen.get(out_v) == out_h:
+                continue
+            raise ValueError(f"edge ({u},{v}) crosses the component boundary")
+        if not inu:
+            continue
+        pu, pv = local[u], local[v]
+        bu, bv = factors[h], factors[j]
+        entries = []
+        for xu, cu in ((0, bu.c0), (1, bu.c1)):
+            for xv, cv in ((0, bv.c0), (1, bv.c1)):
+                coeff = cu * cv
+                if not coeff.is_zero():
+                    entries.append(((xu << pu) | (xv << pv), coeff))
+        others = [i for i in range(k) if i not in (pu, pv)]
+        for idx in range(1 << len(others)):
+            rest = 0
+            for b, pos in enumerate(others):
+                if idx >> b & 1:
+                    rest |= 1 << pos
+            yield [(rest | off, coeff) for off, coeff in entries]
+
+
+def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:
+    """Kernel-state search on one component, its edges found by a full scan."""
+    local = {v: i for i, v in enumerate(sorted(comp))}
+    edges = [
+        (local[u], local[v], h, j)
+        for u, v, h, j in inst.edge_tuples()
+        if u in local
+    ]
+    return solve_edges(len(local), edges, want_witness=False) is not None
 
 
 def diagonal_count(inst: Instance) -> int:

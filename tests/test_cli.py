@@ -107,6 +107,32 @@ def test_count_cap_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cond", ["any", "ff"])
+def test_count_bad_cap_exits_2_for_every_input(tmp_path, capsys, cond):
+    # the unconditioned instance is frustrated and the conditioned one is not;
+    # the cap is checked before either is read
+    path = str(tmp_path / "i.q2")
+    run_cli(
+        "gen", "--model", "er", "--n", "300", "--m", "600", "--f", "2",
+        "--cond", cond, "--seed", "0", "--out", path, capsys=capsys,
+    )
+    code, out, err = run_cli("count", path, "--max-component", "0", capsys=capsys)
+    assert code == 2
+    assert out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("c", ["inf", "nan", "-1", "0", "1e308"])
+def test_analyze_bad_cutoff_exits_2(tmp_path, capsys, c):
+    path = str(tmp_path / "i.q2")
+    run_cli(
+        "gen", "--model", "er", "--n", "40", "--m", "40", "--f", "2",
+        "--seed", "0", "--out", path, capsys=capsys,
+    )
+    code, out, err = run_cli("analyze", path, "--cutoff-c", c, capsys=capsys)
+    assert code == 2
+    assert "cutoff_c" in err
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli("gen", "--model", "er", "--n", "5", "--f", "2", capsys=capsys)
     assert code == 2

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsat2.counting import (
     MOD_PRIMES,
     ComponentCapError,
     RankBackendConfig,
+    _constraint_rows,
     component_rank,
     component_value,
     instance_value,
@@ -19,8 +20,15 @@ from qsat2.counting import (
 from qsat2.exactq import GQ_ZERO
 from qsat2.graphs import Graph, components, sample_er_graph
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
+from qsat2.structure import decouple
+from qsat2.sweep import generate_instance
 
-from oracles import dense_component_value, dense_instance_value, diagonal_count
+from oracles import (
+    dense_component_value,
+    dense_instance_value,
+    diagonal_count,
+    reference_constraint_rows,
+)
 
 EXACT = RankBackendConfig(mode="exact_rational")
 
@@ -138,6 +146,59 @@ def test_decoupled_value_equals_raw():
         )
 
 
+# --- rows from the incident index against the full edge scan ---------------
+
+# rows grow as 2^k per edge, so only components this small are compared
+_ROWS_MAX_K = 10
+
+_random_instances = given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 10**6),
+)
+
+
+def _random_instance(model, f, cond, seed):
+    kw = dict(n=40, m=50) if model == "er" else dict(L=6, p=0.5)
+    return generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@_random_instances
+def test_constraint_rows_match_full_scan(model, f, cond, seed):
+    inst = _random_instance(model, f, cond, seed)
+    dec = decouple(inst)
+    for comp in dec.residual_components:
+        if len(comp) <= _ROWS_MAX_K:
+            assert list(_constraint_rows(inst, comp, dec.frozen)) == list(
+                reference_constraint_rows(inst, comp, dec.frozen)
+            )
+    for comp in dec.report.components:
+        if len(comp) <= _ROWS_MAX_K:
+            assert list(_constraint_rows(inst, comp)) == list(
+                reference_constraint_rows(inst, comp)
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@_random_instances
+def test_constraint_rows_reject_an_unfrozen_crossing(model, f, cond, seed):
+    inst = _random_instance(model, f, cond, seed)
+    dec = decouple(inst)
+    small = [c for c in dec.residual_components if 2 <= len(c) <= _ROWS_MAX_K]
+    assume(small)
+    inside = set(small[0])
+    # a residual component is connected through unfrozen edges; cutting one
+    # endpoint off leaves that edge crossing toward an unfrozen vertex
+    cut = next(v for u, v in inst.graph.edges if u in inside and v in inside)
+    part = sorted(inside - {cut})
+    with pytest.raises(ValueError, match="crosses"):
+        list(_constraint_rows(inst, part, dec.frozen))
+    with pytest.raises(ValueError, match="crosses"):
+        list(reference_constraint_rows(inst, part, dec.frozen))
+
+
 # --- kernel bases ----------------------------------------------------------
 
 
@@ -151,8 +212,6 @@ def _row_applies(vec, row):
 
 
 def test_kernel_basis_spans_and_annihilates():
-    from qsat2.counting import _constraint_rows
-
     for seed in range(15):
         g = sample_er_graph(6, 7, seed=seed)
         inst = sample_instance(g, FactorDistribution.uniform(2), seed=seed)

@@ -2,8 +2,12 @@
 
 Deciding, freezing and decoupling share a single engine solve, and every
 consumer (the counter, the sweep, the CLI) reads the decomposition that
-`decouple` built instead of deciding the instance again.
+`decouple` built instead of deciding the instance again.  Code that needs
+one component's edges reads them from the instance's incident index, which
+is built once per instance.
 """
+
+from functools import cached_property
 
 import pytest
 
@@ -14,9 +18,9 @@ import qsat2.graphs
 import qsat2.structure
 import qsat2.sweep
 from qsat2.cli import main
-from qsat2.counting import instance_value
-from qsat2.instances import FactorDistribution, save_instance
-from qsat2.structure import decouple
+from qsat2.counting import decomposition_value, instance_value
+from qsat2.instances import FactorDistribution, Instance, save_instance, satisfiable
+from qsat2.structure import decouple, frustration_certificate
 from qsat2.sweep import generate_instance, parse_config, run_sweep
 from qsat2.twosat import TwoSatEngine
 
@@ -92,3 +96,49 @@ def test_sweep_trial_solves_once(calls, value, cond):
     )
     run_sweep(cfg)
     _assert_single_pass(calls, per=6)
+
+
+@pytest.fixture
+def incident_builds(monkeypatch):
+    """Count how often any instance builds its incident index."""
+    builds = []
+    build = Instance.incident.func
+
+    def counted(inst):
+        builds.append(inst)
+        return build(inst)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Instance, "incident")
+    monkeypatch.setattr(Instance, "incident", prop)
+    return builds
+
+
+def test_count_builds_incident_index_once(incident_builds, sat_instance, tmp_path, capsys):
+    path = str(tmp_path / "sat.q2")
+    save_instance(sat_instance, path)
+    assert main(["count", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 2  # several components
+    assert len(incident_builds) == 1
+
+
+def test_decomposition_value_builds_incident_index_once(incident_builds, sat_instance):
+    dec = decouple(sat_instance)
+    assert len(dec.residual_components) > 1
+    assert decomposition_value(sat_instance, dec) > 0
+    assert incident_builds == [sat_instance]
+
+
+def test_frustration_certificate_builds_incident_index_once(incident_builds, monkeypatch):
+    # without loop explanations every component is decided from the index
+    monkeypatch.setattr(qsat2.structure, "vertex_options", lambda inst: {})
+    for seed in range(20):
+        inst = generate_instance(
+            model="er", dist=FactorDistribution.uniform(4), seed=seed, n=60, m=60
+        )
+        if not satisfiable(inst):
+            break
+    else:
+        pytest.skip("no frustrated sample found")
+    assert frustration_certificate(inst).kind == "twosat"
+    assert incident_builds == [inst]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsat2.counting import RankBackendConfig, component_value, instance_value, kernel_basis
@@ -22,14 +22,18 @@ from qsat2.structure import (
     fixed_states,
     frozen_subgraph,
     frustration_certificate,
-    satisfiable_by_component,
     vertex_options,
 )
 
 from qsat2.seeding import derive_trial_seed
 from qsat2.sweep import generate_instance
 
-from oracles import brute_force_backbone, loop_seed_fixed_states, naive_vertex_options
+from oracles import (
+    brute_force_backbone,
+    loop_seed_fixed_states,
+    naive_vertex_options,
+    reference_component_satisfiable,
+)
 
 EXACT = RankBackendConfig(mode="exact_rational")
 
@@ -319,23 +323,26 @@ def test_component_satisfiable_split():
     assert not satisfiable(inst)
     assert not component_satisfiable(inst, (0, 1, 2, 3, 4))
     assert component_satisfiable(inst, (5, 6))
-    assert satisfiable_by_component(inst, ((0, 1, 2, 3, 4), (5, 6))) == [False, True]
     cert = frustration_certificate(inst)
     assert cert.kind == "loop" and cert.vertex == 0
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["er", "lat2"]), st.integers(0, 10**6))
-def test_satisfiable_by_component_matches_one_at_a_time(model, seed):
-    # sparse f=4 instances: most are frustrated, with several nontrivial
-    # components of which only some are frustrated
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 10**6),
+)
+def test_component_satisfiable_matches_full_scan(model, f, cond, seed):
+    # sparse unconditioned instances at f=4 are mostly frustrated, with
+    # several nontrivial components of which only some are frustrated
     kw = dict(n=60, m=60) if model == "er" else dict(L=8, p=0.6)
-    inst = generate_instance(model, FactorDistribution.uniform(4), seed, **kw)
-    assume(not satisfiable(inst))
+    inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
     comps = components(inst.graph).components
-    verdicts = satisfiable_by_component(inst, comps)
-    assert verdicts == [component_satisfiable(inst, c) for c in comps]
-    assert not all(verdicts)
+    verdicts = [component_satisfiable(inst, c) for c in comps]
+    assert verdicts == [reference_component_satisfiable(inst, c) for c in comps]
+    assert all(verdicts) == satisfiable(inst)
 
 
 # --- small-subgraph frustration predicates -----------------------------------

@@ -190,6 +190,13 @@ INVALID_SWEEPS = {
         "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\nvalue=on\nmax_component_qubits=0\n",
         "cap",
     ),
+    "cutoff_inf": ("model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=inf\n", "cutoff_c"),
+    "cutoff_nan": ("model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=nan\n", "cutoff_c"),
+    "cutoff_negative": ("model=lat2\nL=4\ngrid=0.5\ntrials=2\nf=2\ncutoff_c=-1\n", "cutoff_c"),
+    "bad_boolean": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\nvalue=yes\n",
+        "'value'.*on, true, 1, off, false, 0.*'yes'",
+    ),
 }
 
 
