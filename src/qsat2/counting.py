@@ -4,7 +4,9 @@ The value of an instance is the dimension of the simultaneous kernel of all
 constraint projectors.  Per connected component this is 2^k - rank(M), where
 M stacks, for every edge, the constraint bra tensored with standard-basis
 bras on the component's other k-2 qubits; every such row has at most four
-nonzero entries.  Rank is computed by sparse elimination, either exactly
+nonzero entries.  Rows are built per edge: the edge's coefficients are
+embedded in each field once, and its rows step the spectator bits through
+the submasks of one mask.  Rank is computed by sparse elimination, either exactly
 over the Gaussian rationals or modulo large primes p = 1 (mod 4), where the
 imaginary unit embeds as a square root of -1.  Modular rank can only
 undercount (a minor may vanish mod p), so two primes must agree and any
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactq import GQ_ONE, GaussianRational
@@ -85,23 +88,16 @@ class _ModField:
         raise ValueError(f"no square root of -1 mod {p}")
 
     def embed(self, x: GaussianRational) -> int:
-        p = self.p
-        re = x.re.numerator % p
-        if x.re.denominator != 1:
-            d = x.re.denominator % p
-            if d == 0:
-                raise _PrimeClash
-            re = re * pow(d, p - 2, p) % p
-        im = x.im.numerator % p
-        if x.im.denominator != 1:
-            d = x.im.denominator % p
-            if d == 0:
-                raise _PrimeClash
-            im = im * pow(d, p - 2, p) % p
-        return (re + im * self.root) % p
+        return (self._rational(x.re) + self._rational(x.im) * self.root) % self.p
+
+    def _rational(self, q: Fraction) -> int:
+        d = q.denominator % self.p
+        if d == 0:
+            raise _PrimeClash
+        return q.numerator * self.inv(d) % self.p
 
     def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        return 1 if a == 1 else pow(a, self.p - 2, self.p)
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
@@ -115,6 +111,10 @@ class _ModField:
                 row[col] = nxt
             elif col in row:
                 del row[col]
+
+
+# a field holds only p and its square root of -1, so one per prime serves every rank
+_MOD_FIELDS = {p: _ModField(p) for p in MOD_PRIMES}
 
 
 class _ExactField:
@@ -142,25 +142,26 @@ class _ExactField:
 # rows and rank
 
 
-def _constraint_rows(
+def _constraint_blocks(
     inst: Instance,
     component: Sequence[int],
     frozen: Optional[dict] = None,
-) -> Iterable[list[tuple[int, GaussianRational]]]:
-    """Sparse constraint rows over the component's 2^k basis, lazily.
+) -> Iterable[tuple[list[tuple[int, GaussianRational]], int]]:
+    """Constraint rows over the component's 2^k basis, one block per edge.
 
     Basis states are bitmasks over the component's qubits in sorted order,
-    local qubit i at bit i.  Each edge emits one row per assignment of the
-    other k-2 qubits, with entries bra_u[x_u] * bra_v[x_v].
+    local qubit i at bit i.  An edge's block is its nonzero entries
+    (offset, bra_u[x_u] * bra_v[x_v]) and the mask of the other k-2 qubits;
+    it stands for the rows `rest | offset`, `rest` each submask in turn.
 
     An edge may leave the component only toward a vertex frozen in the kernel
     state of that edge's own factor; such a constraint annihilates the frozen
-    state and imposes nothing here, so the row is skipped.  Only the
+    state and imposes nothing here, so the edge is skipped.  Only the
     component's incident edges are read, in `graph.edges` order.
     """
     comp = sorted(component)
     local = {v: i for i, v in enumerate(comp)}
-    k = len(comp)
+    full = (1 << len(comp)) - 1
     factors = inst.dist.factors
     for pu, u in enumerate(comp):
         for v, h, j in inst.incident[u]:
@@ -178,28 +179,28 @@ def _constraint_rows(
                     coeff = cu * cv
                     if not coeff.is_zero():
                         entries.append(((xu << pu) | (xv << pv), coeff))
-            others = [i for i in range(k) if i not in (pu, pv)]
-            for idx in range(1 << len(others)):
-                rest = 0
-                for b, pos in enumerate(others):
-                    if idx >> b & 1:
-                        rest |= 1 << pos
-                yield [(rest | off, coeff) for off, coeff in entries]
+            yield entries, full & ~(1 << pu | 1 << pv)
 
 
-def _echelon_rank(rows: Iterable, field, basis_out: Optional[dict] = None) -> int:
+def _echelon_rank(blocks: Iterable, field, basis_out: Optional[dict] = None) -> int:
     """Incremental sparse echelon: insert each row, reduce by leading column."""
     basis: dict[int, dict] = {} if basis_out is None else basis_out
-    for raw in rows:
-        row = {col: field.embed(c) for col, c in raw}
-        while row:
-            lead = min(row)
-            piv = basis.get(lead)
-            if piv is None:
-                scale = field.inv(row.pop(lead))
-                basis[lead] = {col: field.mul(val, scale) for col, val in row.items()}
+    for entries, mask in blocks:
+        coeffs = [(off, field.embed(c)) for off, c in entries]  # once per block
+        rest = 0
+        while True:
+            row = {rest | off: c for off, c in coeffs}
+            while row:
+                lead = min(row)
+                piv = basis.get(lead)
+                if piv is None:
+                    scale = field.inv(row.pop(lead))
+                    basis[lead] = {col: field.mul(val, scale) for col, val in row.items()}
+                    break
+                field.reduce_row(row, row.pop(lead), piv)
+            if rest == mask:
                 break
-            field.reduce_row(row, row.pop(lead), piv)
+            rest = (rest - mask) & mask  # the next submask, in increasing order
     return len(basis)
 
 
@@ -215,7 +216,7 @@ def component_rank(
     for p in MOD_PRIMES[: config.verify_primes]:
         try:
             ranks.append(
-                _echelon_rank(_constraint_rows(inst, component, frozen), _ModField(p))
+                _echelon_rank(_constraint_blocks(inst, component, frozen), _MOD_FIELDS[p])
             )
         except _PrimeClash:
             return _exact_rank(inst, component, frozen)
@@ -225,7 +226,7 @@ def component_rank(
 
 
 def _exact_rank(inst, component, frozen=None) -> int:
-    return _echelon_rank(_constraint_rows(inst, component, frozen), _ExactField())
+    return _echelon_rank(_constraint_blocks(inst, component, frozen), _ExactField())
 
 
 def component_value(
@@ -251,7 +252,7 @@ def kernel_basis(
     """
     basis: dict[int, dict] = {}
     field = _ExactField()
-    _echelon_rank(_constraint_rows(inst, component), field, basis_out=basis)
+    _echelon_rank(_constraint_blocks(inst, component), field, basis_out=basis)
     k = len(component)
     # reduced echelon: clear occurrences of other leading columns
     for lead in sorted(basis, reverse=True):

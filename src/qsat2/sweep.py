@@ -279,6 +279,15 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> str:
 # config files: plain key=value lines, # comments
 
 
+def _convert(key: str, kind, text: str):
+    """`kind(text)`, or a ValueError that names the config key and the text."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        msg = f"config key {key!r} takes {kind.__name__} values, not {text.strip()!r}"
+        raise ValueError(msg) from None
+
+
 _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
@@ -304,15 +313,21 @@ def parse_config(text: str) -> SweepConfig:
             raise ValueError(f"config key {key!r} takes one of {', '.join(_BOOL)}, not {val!r}")
         return _BOOL[val]
 
+    def number(key: str, kind, default: str):
+        return _convert(key, kind, take(key, default))
+
     model = take("model", "er")
-    grid = tuple(float(tok) for tok in (take("grid") or "").split(",") if tok.strip())
-    trials = int(take("trials", "1"))
-    seed = int(take("seed", "0"))
+    grid = tuple(
+        _convert("grid", float, tok) for tok in (take("grid") or "").split(",") if tok.strip()
+    )
+    trials = number("trials", int, "1")
+    seed = number("seed", int, "0")
     qspec = take("q", "uniform")
     if qspec == "uniform":
-        dist = FactorDistribution.uniform(int(take("f", "0")))
+        dist = FactorDistribution.uniform(number("f", int, "0"))
     else:
-        dist = FactorDistribution.from_weights([Fraction(tok) for tok in qspec.split(",")])
+        weights = [_convert("q", Fraction, tok) for tok in qspec.split(",")]
+        dist = FactorDistribution.from_weights(weights)
         take("f")  # redundant with an explicit q list
     cond = take("cond", "any")
     if cond == "ff":
@@ -322,12 +337,12 @@ def parse_config(text: str) -> SweepConfig:
         grid=grid,
         trials=trials,
         dist=dist,
-        n=int(take("n", "0")),
-        L=int(take("L", "0")),
+        n=number("n", int, "0"),
+        L=number("L", int, "0"),
         seed=seed,
         cond=cond,
-        cutoff_c=float(take("cutoff_c", "3.0")),
-        max_component_qubits=int(take("max_component_qubits", "16")),
+        cutoff_c=number("cutoff_c", float, "3.0"),
+        max_component_qubits=number("max_component_qubits", int, "16"),
         fig8_l3=flag("fig8_l3"),
         value=flag("value"),
         timing=flag("timing"),

@@ -14,7 +14,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from qsat2.exactq import BraState, GaussianRational
+from qsat2.counting import MOD_PRIMES, RankBackendConfig, _ExactField, _ModField, _PrimeClash
+from qsat2.exactq import GQ_ONE, BraState, GaussianRational
 from qsat2.graphs import Graph
 from qsat2.instances import FactorDistribution, Instance
 from qsat2.structure import vertex_options
@@ -103,9 +104,10 @@ def reference_constraint_rows(
 ) -> Iterator[list[tuple[int, GaussianRational]]]:
     """Sparse constraint rows of one component by a scan over every edge.
 
-    Same rows, row order and boundary rule as `counting._constraint_rows`:
-    an edge leaving the component is skipped when its outside endpoint is
-    frozen in that edge's own factor, and raises ValueError otherwise.
+    Same rows, row order and boundary rule as `counting._constraint_blocks`
+    flattened by `block_rows`: an edge leaving the component is skipped when
+    its outside endpoint is frozen in that edge's own factor, and raises
+    ValueError otherwise.
     """
     comp = sorted(component)
     local = {v: i for i, v in enumerate(comp)}
@@ -135,6 +137,92 @@ def reference_constraint_rows(
                 if idx >> b & 1:
                     rest |= 1 << pos
             yield [(rest | off, coeff) for off, coeff in entries]
+
+
+def block_rows(blocks) -> Iterator[list[tuple[int, GaussianRational]]]:
+    """Flatten `counting._constraint_blocks` into one row per spectator assignment.
+
+    Submasks are listed by filtering every integer up to the mask, not by
+    the package's submask step, so the row order is checked independently.
+    """
+    for entries, mask in blocks:
+        for rest in range(mask + 1):
+            if rest & ~mask == 0:
+                yield [(rest | off, coeff) for off, coeff in entries]
+
+
+def reference_echelon_rank(rows, field, basis_out: Optional[dict] = None) -> int:
+    """Row-by-row sparse echelon over flat rows, embedding every entry anew."""
+    basis: dict[int, dict] = {} if basis_out is None else basis_out
+    for raw in rows:
+        row = {col: field.embed(c) for col, c in raw}
+        while row:
+            lead = min(row)
+            piv = basis.get(lead)
+            if piv is None:
+                scale = field.inv(row.pop(lead))
+                basis[lead] = {col: field.mul(val, scale) for col, val in row.items()}
+                break
+            field.reduce_row(row, row.pop(lead), piv)
+    return len(basis)
+
+
+def reference_component_rank(
+    inst: Instance,
+    component: Sequence[int],
+    config: RankBackendConfig,
+    frozen: Optional[dict] = None,
+) -> int:
+    """`counting.component_rank` over the full-scan rows, one row at a time.
+
+    The same verification: every configured prime must agree, and a clash
+    or a disagreement settles the rank exactly.
+    """
+
+    def exact() -> int:
+        return reference_echelon_rank(
+            reference_constraint_rows(inst, component, frozen), _ExactField()
+        )
+
+    if config.mode == "exact_rational":
+        return exact()
+    ranks = []
+    for p in MOD_PRIMES[: config.verify_primes]:
+        try:
+            ranks.append(
+                reference_echelon_rank(
+                    reference_constraint_rows(inst, component, frozen), _ModField(p)
+                )
+            )
+        except _PrimeClash:
+            return exact()
+    if len(set(ranks)) != 1:
+        return exact()
+    return ranks[0]
+
+
+def reference_kernel_basis(
+    inst: Instance, component: Sequence[int]
+) -> list[dict[int, GaussianRational]]:
+    """`counting.kernel_basis` over the full-scan rows, one row at a time."""
+    basis: dict[int, dict] = {}
+    field = _ExactField()
+    reference_echelon_rank(reference_constraint_rows(inst, component), field, basis_out=basis)
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        for other in [c for c in row if c in basis and c != lead]:
+            field.reduce_row(row, row.pop(other), basis[other])
+    out = []
+    for c in range(1 << len(component)):
+        if c in basis:
+            continue
+        vec: dict[int, GaussianRational] = {c: GQ_ONE}
+        for lead, row in basis.items():
+            val = row.get(c)
+            if val is not None:
+                vec[lead] = -val
+        out.append(vec)
+    return out
 
 
 def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:

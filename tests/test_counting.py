@@ -6,28 +6,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qsat2.counting as counting
 from qsat2.counting import (
     MOD_PRIMES,
     ComponentCapError,
     RankBackendConfig,
-    _constraint_rows,
+    _constraint_blocks,
+    _ModField,
+    _PrimeClash,
     component_rank,
     component_value,
     instance_value,
     kernel_basis,
     product_tree,
 )
-from qsat2.exactq import GQ_ZERO
+from qsat2.exactq import GQ_ZERO, bra
 from qsat2.graphs import Graph, components, sample_er_graph
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
 from qsat2.structure import decouple
 from qsat2.sweep import generate_instance
 
 from oracles import (
+    block_rows,
     dense_component_value,
     dense_instance_value,
     diagonal_count,
+    reference_component_rank,
     reference_constraint_rows,
+    reference_kernel_basis,
 )
 
 EXACT = RankBackendConfig(mode="exact_rational")
@@ -171,12 +177,12 @@ def test_constraint_rows_match_full_scan(model, f, cond, seed):
     dec = decouple(inst)
     for comp in dec.residual_components:
         if len(comp) <= _ROWS_MAX_K:
-            assert list(_constraint_rows(inst, comp, dec.frozen)) == list(
+            assert list(block_rows(_constraint_blocks(inst, comp, dec.frozen))) == list(
                 reference_constraint_rows(inst, comp, dec.frozen)
             )
     for comp in dec.report.components:
         if len(comp) <= _ROWS_MAX_K:
-            assert list(_constraint_rows(inst, comp)) == list(
+            assert list(block_rows(_constraint_blocks(inst, comp))) == list(
                 reference_constraint_rows(inst, comp)
             )
 
@@ -194,9 +200,103 @@ def test_constraint_rows_reject_an_unfrozen_crossing(model, f, cond, seed):
     cut = next(v for u, v in inst.graph.edges if u in inside and v in inside)
     part = sorted(inside - {cut})
     with pytest.raises(ValueError, match="crosses"):
-        list(_constraint_rows(inst, part, dec.frozen))
+        list(_constraint_blocks(inst, part, dec.frozen))
     with pytest.raises(ValueError, match="crosses"):
         list(reference_constraint_rows(inst, part, dec.frozen))
+
+
+# --- the block-wise rank against the row-by-row reference -----------------
+
+MODULAR = RankBackendConfig(mode="modular")
+
+
+def _ordered(basis):
+    # key order too, so the comparison is byte-for-byte
+    return [list(vec.items()) for vec in basis]
+
+
+@settings(max_examples=40, deadline=None)
+@_random_instances
+def test_rank_and_kernel_match_row_by_row_reference(model, f, cond, seed):
+    inst = _random_instance(model, f, cond, seed)
+    dec = decouple(inst)
+    for comp in dec.residual_components:
+        if len(comp) <= _ROWS_MAX_K:
+            for cfg in (MODULAR, EXACT):
+                assert component_rank(inst, comp, cfg, dec.frozen) == reference_component_rank(
+                    inst, comp, cfg, dec.frozen
+                )
+    for comp in dec.report.components:
+        if len(comp) <= _ROWS_MAX_K:
+            for cfg in (MODULAR, EXACT):
+                assert component_rank(inst, comp, cfg) == reference_component_rank(inst, comp, cfg)
+            assert _ordered(kernel_basis(inst, comp)) == _ordered(reference_kernel_basis(inst, comp))
+
+
+def test_two_qubit_component_is_one_row():
+    # non-diagonal factors (1,1) and (1,-1): all four entries are nonzero
+    inst = inst_of(2, [(0, 1)], [(2, 3)], 4)
+    blocks = list(_constraint_blocks(inst, (0, 1)))
+    assert len(blocks) == 1
+    entries, mask = blocks[0]
+    assert mask == 0 and len(entries) == 4
+    assert list(block_rows(blocks)) == list(reference_constraint_rows(inst, (0, 1)))
+    for cfg in (MODULAR, EXACT):
+        assert component_rank(inst, (0, 1), cfg) == 1
+    assert _ordered(kernel_basis(inst, (0, 1))) == _ordered(reference_kernel_basis(inst, (0, 1)))
+
+
+def _spy_exact_rank(monkeypatch):
+    calls = []
+    real = counting._exact_rank
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_exact_rank", spy)
+    return calls
+
+
+def test_prime_clash_escalates_to_exact(monkeypatch):
+    # a coefficient with denominator MOD_PRIMES[0] cannot be embedded mod that prime
+    odd = bra(1, Fraction(1, MOD_PRIMES[0]))
+    with pytest.raises(_PrimeClash):
+        _ModField(MOD_PRIMES[0]).embed(odd.c1)
+    dist = FactorDistribution.uniform(2, factors=[bra(1, 0), odd])
+    inst = Instance(Graph(3, ((0, 1), (0, 2), (1, 2))), ((1, 0), (1, 1), (0, 1)), dist, "any", 0, 0)
+    comp = (0, 1, 2)
+    exact = counting._exact_rank(inst, comp)
+    calls = _spy_exact_rank(monkeypatch)
+    assert component_rank(inst, comp, MODULAR) == exact
+    assert len(calls) == 1
+    assert exact == 2**3 - dense_component_value(inst, comp)
+
+
+def test_prime_disagreement_escalates_to_exact(monkeypatch):
+    g = sample_er_graph(8, 10, seed=4)
+    inst = sample_instance(g, FactorDistribution.uniform(3), seed=4)
+    comp = max(components(g).components, key=len)
+    true_rank = component_rank(inst, comp, EXACT)
+    assert true_rank > 0
+    real = counting._echelon_rank
+
+    def skewed(blocks, field, basis_out=None):
+        rank = real(blocks, field, basis_out)
+        return rank - 1 if getattr(field, "p", None) == MOD_PRIMES[1] else rank
+
+    monkeypatch.setattr(counting, "_echelon_rank", skewed)
+    calls = _spy_exact_rank(monkeypatch)
+    assert component_rank(inst, comp, MODULAR) == true_rank
+    assert len(calls) == 1
+
+
+def test_mod_field_inverse():
+    rng = random.Random(0)
+    for p in MOD_PRIMES:
+        field = _ModField(p)
+        for a in [1, p - 1, field.root] + [rng.randrange(1, p) for _ in range(5)]:
+            assert field.inv(a) * a % p == 1
 
 
 # --- kernel bases ----------------------------------------------------------
@@ -218,7 +318,7 @@ def test_kernel_basis_spans_and_annihilates():
         for comp in components(g).components:
             basis = kernel_basis(inst, comp)
             assert len(basis) == component_value(inst, comp, EXACT)
-            rows = list(_constraint_rows(inst, comp))
+            rows = list(block_rows(_constraint_blocks(inst, comp)))
             for vec in basis:
                 assert vec  # nonzero
                 for row in rows:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -197,6 +198,13 @@ INVALID_SWEEPS = {
         "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\nvalue=yes\n",
         "'value'.*on, true, 1, off, false, 0.*'yes'",
     ),
+    "trials_not_int": ("model=er\nn=50\ngrid=1.0\ntrials=x\nf=2\n", "'trials'.*int.*'x'"),
+    "grid_not_float": ("model=er\nn=50\ngrid=1.0, abc\ntrials=2\nf=2\n", "'grid'.*float.*'abc'"),
+    "q_not_fraction": ("model=er\nn=50\ngrid=1.0\ntrials=2\nq=1/2, x\n", "'q'.*Fraction.*'x'"),
+    "cutoff_not_float": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=abc\n",
+        "'cutoff_c'.*float.*'abc'",
+    ),
 }
 
 
@@ -211,13 +219,15 @@ def test_parse_config_rejects_what_a_trial_would(case):
 def test_sweep_cli_exits_2_before_any_trial(case, tmp_path, capsys):
     from qsat2.cli import main
 
+    text, msg = INVALID_SWEEPS[case]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(INVALID_SWEEPS[case][0])
+    cfg.write_text(text)
     out = tmp_path / "out.csv"
     with mock.patch.object(sweep_mod, "_run_trial", side_effect=AssertionError("trial ran")):
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and re.search(msg, err)
     assert not out.exists()
 
 
