@@ -1,12 +1,13 @@
 """Command line surface: gen / analyze / count / predict / xi / sweep.
 
-Exit codes: 0 success, 2 usage error, 3 instance parse error, 4 component
-over the size cap (count only).
+Exit codes: 0 success, 1 standard output closed early, 2 usage error, 3
+instance parse error, 4 component over the size cap (count only).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -217,7 +218,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`qsat2 analyze f | head`); point stdout
+        # at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ComponentCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,14 @@ class Graph:
         if self.lattice is None:
             return "er"
         return f"lat{self.lattice.d}"
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) integer array, in `edges` order."""
+        flat = chain.from_iterable(self.edges)
+        arr = np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
 
 
 def adjacency(g: Graph) -> list[list[int]]:
@@ -178,29 +192,51 @@ class ComponentReport:
     multicyclic_count: int
 
 
+_CLASSES = ("tree", "unicyclic", "multicyclic")
+
+
+def vertex_components(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Connected components of the graph on range(n) with edges (u[i], v[i]).
+
+    Returns the components, members ascending and ordered by their smallest
+    vertex, and each vertex's index into that list.
+    """
+    graph = csr_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    ncomp, labels = connected_components(graph, directed=False)
+    # a stable sort keeps each label's vertices ascending
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=ncomp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    by_first = np.argsort(order[starts])
+    index = np.empty(ncomp, dtype=np.int64)
+    index[by_first] = np.arange(ncomp)
+    flat = order.tolist()
+    comps = [
+        tuple(flat[a:b])
+        for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())
+    ]
+    return comps, index[labels]
+
+
 def components(g: Graph) -> ComponentReport:
-    """Connected components with a tree/unicyclic/multicyclic class each."""
-    uf = UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
-    members: dict[int, list[int]] = {}
-    for v in range(g.n):
-        members.setdefault(uf.find(v), []).append(v)
-    ecount = {root: 0 for root in members}
-    for u, v in g.edges:
-        ecount[uf.find(u)] += 1
-    comps = sorted(members.values())
-    counts = tuple(ecount[uf.find(c[0])] for c in comps)
-    classes = []
-    for comp, ec in zip(comps, counts):
-        excess = ec - len(comp) + 1
-        classes.append("tree" if excess == 0 else "unicyclic" if excess == 1 else "multicyclic")
+    """Connected components with a tree/unicyclic/multicyclic class each.
+
+    Members ascend and components are ordered by their smallest vertex.
+    """
+    u, v = g.edge_array.T
+    comps, comp_of = vertex_components(g.n, u, v)
+    sizes = np.bincount(comp_of, minlength=len(comps))
+    counts = np.bincount(comp_of[u], minlength=len(comps))
+    excess = np.minimum(counts - sizes + 1, 2)
     return ComponentReport(
-        components=tuple(tuple(c) for c in comps),
-        edge_counts=counts,
-        classes=tuple(classes),
-        max_size=max((len(c) for c in comps), default=0),
-        multicyclic_count=sum(1 for c in classes if c == "multicyclic"),
+        components=tuple(comps),
+        edge_counts=tuple(counts.tolist()),
+        classes=tuple(_CLASSES[e] for e in excess.tolist()),
+        max_size=int(sizes.max(initial=0)),
+        multicyclic_count=int(np.count_nonzero(excess == 2)),
     )
 
 

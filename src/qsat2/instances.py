@@ -13,9 +13,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
 from .graphs import Graph, LatticeInfo, UnionFind
@@ -167,11 +170,22 @@ class Instance:
             out[v].append((u, j, h))
         return tuple(map(tuple, out))
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Edges as a read-only (m, 4) integer array of (u, v, h, j) rows.
+
+        Rows follow `graph.edges` order.  Deciding, freezing and decoupling
+        read the instance's edges here, built once per instance.
+        """
+        flat = chain.from_iterable(self.pairs)
+        pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
+        arr = np.hstack((self.graph.edge_array, pairs))
+        arr.flags.writeable = False
+        return arr
+
     def engine(self) -> TwoSatEngine:
-        eng = TwoSatEngine(self.graph.n)
-        for u, v, h, j in self.edge_tuples():
-            eng.add_edge(u, v, h, j)
-        return eng
+        """An engine over every edge: its solve and its queries see the same clauses."""
+        return TwoSatEngine(self.n, self.edge_array, self.incident)
 
 
 def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
@@ -182,7 +196,7 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
 
 
 def satisfiable(inst: Instance) -> bool:
-    return inst.engine().solve(want_witness=False) is not None
+    return TwoSatEngine(inst.n, inst.edge_array).solve(want_witness=False) is not None
 
 
 def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
@@ -192,7 +206,7 @@ def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
     state always exists because the factor table is finite.  Returns None
     when the instance is unsatisfiable.
     """
-    return inst.engine().solve(want_witness=True)
+    return TwoSatEngine(inst.n, inst.edge_array).solve(want_witness=True)
 
 
 class ResampleBudgetError(RuntimeError):

@@ -7,6 +7,16 @@ witness's states with the engine's denial closure.  Removing the frozen
 qubits leaves the residual components that `decouple` classifies and the
 counter counts one by one.
 
+Only cyclic components reach the solve.  A tree component is always
+satisfiable, and its backbone is empty: a denial closure leaves its start
+along distinct edges into disjoint subtrees, never walks back over the edge
+it arrived by (that edge is satisfied at the vertex it reached), and so
+reaches every vertex at most once and never returns to its start.  Nothing
+in a tree can clash.  Decoupling reads the instance's edge array: the
+residual split is one connected-components pass over the edges whose ends
+are both unfrozen, and with nothing frozen the residual components are the
+graph's components.
+
 Loop option sets explain frustration: a cyclic walk whose junctions all stay
 alive carries a nonzero chain constraint from a vertex back to itself,
 restricting that vertex to one of at most two kernel states (one per end
@@ -24,9 +34,16 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scc
 
-from .graphs import ComponentReport, Domino, FigureEight, UnionFind, components
+from .graphs import (
+    ComponentReport,
+    Domino,
+    FigureEight,
+    UnionFind,
+    components,
+    vertex_components,
+)
 from .instances import Instance, satisfiable
-from .twosat import solve_edges
+from .twosat import TwoSatEngine, solve_edges
 
 
 @dataclass(frozen=True)
@@ -193,22 +210,34 @@ def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
     raise AssertionError("unsatisfiable instance with all components satisfiable")
 
 
-def _backbone(inst: Instance) -> Optional[dict[int, int]]:
+def _backbone(inst: Instance, rep: ComponentReport) -> Optional[dict[int, int]]:
     """Entailed kernel states as vertex -> factor; None when unsatisfiable.
 
-    An entailed state is true in every satisfying assignment, so in
-    particular in the witness of the one full solve: only the witness's
-    states need probing.  A state (v, h) is entailed exactly when the
-    closure of its denial reaches (v, h), which is the condition for v to
-    hold the singleton loop option set {h}.  Each entailed state is frozen
-    with its closure, so later probes stop early at frozen states.
+    `rep` is the component report of the instance's graph.  Only the edges
+    of its cyclic components go to the one full solve: tree components are
+    satisfiable with an empty backbone (see the module docstring).  An
+    entailed state is true in every satisfying assignment, so in particular
+    in the witness: only the witness's states need probing.  A state (v, h)
+    is entailed exactly when the closure of its denial reaches (v, h), which
+    is the condition for v to hold the singleton loop option set {h}.  Each
+    entailed state is frozen with its closure, so later probes stop early
+    at frozen states.
     """
-    eng = inst.engine()
+    cyclic = np.zeros(inst.n, dtype=bool)
+    for comp, cls in zip(rep.components, rep.classes):
+        if cls != "tree":
+            cyclic[list(comp)] = True
+    edges = inst.edge_array
+    eng = TwoSatEngine(inst.n, edges[cyclic[edges[:, 0]]])
     witness = eng.solve()
     if witness is None:
         return None
-    for v, h in enumerate(witness):
-        if h is not None and eng.frozen[v] is None and eng.pinned_to(v, h):
+    probes = [(v, h) for v, h in enumerate(witness) if h is not None]
+    if probes:
+        # the probes walk cyclic components only, whose edges the index lists
+        eng.incident = inst.incident
+    for v, h in probes:
+        if eng.frozen[v] is None and eng.pinned_to(v, h):
             eng.freeze(v, h)
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}
 
@@ -221,7 +250,7 @@ def fixed_states(inst: Instance) -> dict[int, int]:
     well as sound, because 2-SAT entailment is decided by the closure of a
     literal's denial (see `_backbone`).
     """
-    frozen = _backbone(inst)
+    frozen = _backbone(inst, components(inst.graph))
     if frozen is None:
         raise ValueError("fixed states are only defined for satisfiable instances")
     return frozen
@@ -282,7 +311,7 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     g = inst.graph
     rep = components(g)
     cutoff = component_cutoff(g.n, cutoff_c)
-    frozen = _backbone(inst)
+    frozen = _backbone(inst, rep)
     if frozen is None:
         return Decomposition(
             frozen={},
@@ -292,16 +321,16 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
             residual_max=rep.max_size,
             report=rep,
         )
-    alive = [v for v in range(g.n) if v not in frozen]
-    index = {v: i for i, v in enumerate(alive)}
-    uf = UnionFind(len(alive))
-    for u, v in g.edges:
-        if u in index and v in index:
-            uf.union(index[u], index[v])
-    groups: dict[int, list[int]] = {}
-    for v in alive:
-        groups.setdefault(uf.find(index[v]), []).append(v)
-    residual = tuple(tuple(c) for c in sorted(groups.values()))
+    if frozen:
+        alive = np.ones(g.n, dtype=bool)
+        alive[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = False
+        u, v = g.edge_array.T
+        keep = alive[u] & alive[v]
+        # frozen vertices keep no edge, so each is a component of its own
+        comps, _ = vertex_components(g.n, u[keep], v[keep])
+        residual = tuple(c for c in comps if c[0] not in frozen)
+    else:
+        residual = rep.components
     residual_max = max((len(c) for c in residual), default=0)
     if rep.max_size <= cutoff:
         label = "highly_disconnected"

@@ -327,8 +327,12 @@ def parse_config(text: str) -> SweepConfig:
         dist = FactorDistribution.uniform(number("f", int, "0"))
     else:
         weights = [_convert("q", Fraction, tok) for tok in qspec.split(",")]
+        fspec = take("f")
+        if fspec is not None and _convert("f", int, fspec) != len(weights):
+            raise ValueError(
+                f"config key 'f' is {fspec.strip()}, but q lists {len(weights)} weights"
+            )
         dist = FactorDistribution.from_weights(weights)
-        take("f")  # redundant with an explicit q list
     cond = take("cond", "any")
     if cond == "ff":
         cond = "free"

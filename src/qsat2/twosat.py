@@ -20,6 +20,18 @@ once (a second state at a vertex is the conflict that ends it), so one
 uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
 propagation is linear.  The full strongly-connected component solve is only
 for deciding the whole clause set at once.
+
+The full solve builds the literal graph in numpy from an (m, 4) edge array
+and hands it to scipy's strongly connected components.  The clause set is
+unsatisfiable exactly when some variable shares a component with its
+negation.  Otherwise a literal is true when its component comes after its
+negation's in a topological order of the condensation.  Any linear
+extension of the condensation order gives a satisfying assignment
+(Aspvall, Plass and Tarjan 1979): a violated clause (a or b) would need
+a before not-a and b before not-b, while the arcs not-a -> b and not-b -> a
+put not-a no later than b and not-b no later than a, a cycle in a linear
+order.  The solve orders components by (Kahn level, component label), which
+is such an extension, so the witness needs no Python loop over the arcs.
 """
 
 from __future__ import annotations
@@ -35,7 +47,13 @@ CONFLICT = 1
 
 
 class TwoSatEngine:
-    """Incremental edge store with entailment-aware reachability queries.
+    """Edge store with entailment-aware reachability queries.
+
+    `edges` holds the (u, v, h, j) rows the full solve reads and
+    `incident` the per-vertex index the queries read.  `TwoSatEngine(n)`
+    starts empty and `add_edge` grows both.  An engine given `edges` up
+    front (a sequence of rows or an (m, 4) integer array) answers queries
+    only once it has an index, passed in or assigned later.
 
     `frozen[v]` caches a factor index entailed for v by the current clause
     set.  Queries use it to stop early; callers must only freeze entailed
@@ -44,11 +62,18 @@ class TwoSatEngine:
 
     __slots__ = ("n", "edges", "incident", "frozen")
 
-    def __init__(self, n: int):
+    def __init__(
+        self,
+        n: int,
+        edges: Optional[Sequence[tuple[int, int, int, int]] | np.ndarray] = None,
+        incident: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None,
+    ):
+        if edges is None:
+            edges, incident = [], [[] for _ in range(n)]
         self.n = n
-        self.edges: list[tuple[int, int, int, int]] = []
+        self.edges = edges
         # incident[v]: (other endpoint, factor on v's side, factor on other side)
-        self.incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.incident = incident
         self.frozen: list[Optional[int]] = [None] * n
 
     def add_edge(self, u: int, v: int, h: int, j: int) -> None:
@@ -154,87 +179,78 @@ class TwoSatEngine:
         v in a kernel state (any state works there).  With want_witness
         False a satisfiable outcome returns an empty assignment list.
         """
-        var_of: dict[tuple[int, int], int] = {}
-
-        def vid(v: int, s: int) -> int:
-            key = (v, s)
-            i = var_of.get(key)
-            if i is None:
-                i = len(var_of)
-                var_of[key] = i
-            return i
-
-        for u, v, h, j in self.edges:
-            vid(u, h)
-            vid(v, j)
-
-        states_at: list[list[int]] = [[] for _ in range(self.n)]
-        for (v, s), i in var_of.items():
-            states_at[v].append(s)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 4)
+        m = len(edges)
+        if m == 0:
+            return [None] * self.n
+        u, v, h, j = edges.T
+        f = int(max(h.max(), j.max())) + 1
+        # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
+        # variables contiguous, at most f of them
+        keys, var = np.unique(np.concatenate((u * f + h, v * f + j)), return_inverse=True)
+        pu, pv = var[:m], var[m:]
+        vert = keys // f
+        # at most one kernel state per vertex: every pair of one vertex's
+        # variables sits at some shift below f
+        a_parts, b_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for d in range(1, f):
+            same = np.flatnonzero(vert[:-d] == vert[d:])
+            a_parts.append(same)
+            b_parts.append(same + d)
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
 
         # literal ids: positive 2i, negative 2i+1
-        src: list[int] = []
-        dst: list[int] = []
-
-        def arc(a: int, b: int) -> None:
-            src.append(a)
-            dst.append(b)
-
-        for u, v, h, j in self.edges:
-            pu, pv = var_of[(u, h)], var_of[(v, j)]
-            arc(2 * pu + 1, 2 * pv)
-            arc(2 * pv + 1, 2 * pu)
-        for v in range(self.n):
-            ss = states_at[v]
-            for a in range(len(ss)):
-                ia = var_of[(v, ss[a])]
-                for b in range(len(ss)):
-                    if a != b:
-                        arc(2 * ia, 2 * var_of[(v, ss[b])] + 1)
-
-        nlit = 2 * len(var_of)
-        if nlit == 0:
-            return [None] * self.n
+        src = np.concatenate((2 * pu + 1, 2 * pv + 1, 2 * a, 2 * b))
+        dst = np.concatenate((2 * pv, 2 * pu, 2 * b + 1, 2 * a + 1))
+        nlit = 2 * len(keys)
         graph = csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (np.array(src), np.array(dst))),
-            shape=(nlit, nlit),
+            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
         )
         ncomp, labels = connected_components(graph, directed=True, connection="strong")
-        for i in range(len(var_of)):
-            if labels[2 * i] == labels[2 * i + 1]:
-                return None
+        if np.any(labels[0::2] == labels[1::2]):
+            return None
         if not want_witness:
             return []
 
-        # scipy's labels carry no order guarantee; topologically sort the
-        # condensation and take a literal as true when its component comes
-        # after its negation's.
-        cond_adj: list[set[int]] = [set() for _ in range(ncomp)]
-        for a, b in zip(src, dst):
-            ca, cb = labels[a], labels[b]
-            if ca != cb:
-                cond_adj[ca].add(cb)
-        indeg = [0] * ncomp
-        for outs in cond_adj:
-            for c in outs:
-                indeg[c] += 1
-        order = [0] * ncomp
-        stack = [c for c in range(ncomp) if indeg[c] == 0]
-        pos = 0
-        while stack:
-            c = stack.pop()
-            order[c] = pos
-            pos += 1
-            for nxt in cond_adj[c]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    stack.append(nxt)
-
+        # scipy's labels carry no order guarantee; order the condensation
+        # by (level, label) and take a literal as true when its component
+        # comes after its negation's
+        ca = labels[src].astype(np.int64)
+        cb = labels[dst].astype(np.int64)
+        cross = ca != cb
+        arcs = np.unique(ca[cross] * ncomp + cb[cross])
+        rank = _levels(ncomp, arcs // ncomp, arcs % ncomp) * ncomp + np.arange(ncomp)
+        lit_rank = rank[labels]
+        chosen = keys[lit_rank[0::2] > lit_rank[1::2]]
         states: list[Optional[int]] = [None] * self.n
-        for (v, s), i in var_of.items():
-            if order[labels[2 * i]] > order[labels[2 * i + 1]]:
-                states[v] = s
+        for w, s in zip((chosen // f).tolist(), (chosen % f).tolist()):
+            states[w] = s
         return states
+
+
+def _levels(ncomp: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Longest-path depth from the sources of each node of a DAG.
+
+    Arcs tail -> head, distinct and sorted by tail.  Kahn's algorithm runs
+    one frontier at a time, so every arc climbs at least one level.
+    """
+    indptr = np.searchsorted(tail, np.arange(ncomp + 1))
+    indeg = np.bincount(head, minlength=ncomp)
+    level = np.zeros(ncomp, dtype=np.int64)
+    frontier = np.flatnonzero(indeg == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        lo = indptr[frontier]
+        width = indptr[frontier + 1] - lo
+        total = int(width.sum())
+        # the out-arcs of every frontier node, as positions into `head`
+        pos = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(total)
+        nxt, hits = np.unique(head[pos], return_counts=True)
+        indeg[nxt] -= hits
+        frontier = nxt[indeg[nxt] == 0]
+        depth += 1
+    return level
 
 
 def solve_edges(
@@ -243,7 +259,4 @@ def solve_edges(
     want_witness: bool = True,
 ) -> Optional[list[Optional[int]]]:
     """One-shot solve for an edge list, without building queries first."""
-    eng = TwoSatEngine(n)
-    for u, v, h, j in edges:
-        eng.add_edge(u, v, h, j)
-    return eng.solve(want_witness=want_witness)
+    return TwoSatEngine(n, edges).solve(want_witness=want_witness)

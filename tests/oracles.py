@@ -14,11 +14,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
 from qsat2.counting import MOD_PRIMES, RankBackendConfig, _ExactField, _ModField, _PrimeClash
 from qsat2.exactq import GQ_ONE, BraState, GaussianRational
-from qsat2.graphs import Graph
+from qsat2.graphs import ComponentReport, Graph, UnionFind
 from qsat2.instances import FactorDistribution, Instance
-from qsat2.structure import vertex_options
+from qsat2.structure import Decomposition, component_cutoff, vertex_options
 from qsat2.twosat import TwoSatEngine, solve_edges
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -462,3 +465,172 @@ def chain_survival_bruteforce(q: Sequence[Fraction], ell: int) -> Fraction:
                 w *= q[t]
             total += w
     return total
+
+
+def reference_solve(
+    n: int, edges: Sequence[tuple[int, int, int, int]], want_witness: bool = True
+) -> Optional[list[Optional[int]]]:
+    """`TwoSatEngine.solve` with Python lists: literal ids by first appearance,
+    explicit arc lists and a Kahn sort of the condensation."""
+    var_of: dict[tuple[int, int], int] = {}
+
+    def vid(v: int, s: int) -> int:
+        key = (v, s)
+        i = var_of.get(key)
+        if i is None:
+            i = len(var_of)
+            var_of[key] = i
+        return i
+
+    for u, v, h, j in edges:
+        vid(u, h)
+        vid(v, j)
+
+    states_at: list[list[int]] = [[] for _ in range(n)]
+    for (v, s), i in var_of.items():
+        states_at[v].append(s)
+
+    # literal ids: positive 2i, negative 2i+1
+    src: list[int] = []
+    dst: list[int] = []
+
+    def arc(a: int, b: int) -> None:
+        src.append(a)
+        dst.append(b)
+
+    for u, v, h, j in edges:
+        pu, pv = var_of[(u, h)], var_of[(v, j)]
+        arc(2 * pu + 1, 2 * pv)
+        arc(2 * pv + 1, 2 * pu)
+    for v in range(n):
+        ss = states_at[v]
+        for a in range(len(ss)):
+            ia = var_of[(v, ss[a])]
+            for b in range(len(ss)):
+                if a != b:
+                    arc(2 * ia, 2 * var_of[(v, ss[b])] + 1)
+
+    nlit = 2 * len(var_of)
+    if nlit == 0:
+        return [None] * n
+    graph = csr_matrix(
+        (np.ones(len(src), dtype=np.int8), (np.array(src), np.array(dst))),
+        shape=(nlit, nlit),
+    )
+    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    for i in range(len(var_of)):
+        if labels[2 * i] == labels[2 * i + 1]:
+            return None
+    if not want_witness:
+        return []
+
+    cond_adj: list[set[int]] = [set() for _ in range(ncomp)]
+    for a, b in zip(src, dst):
+        ca, cb = labels[a], labels[b]
+        if ca != cb:
+            cond_adj[ca].add(cb)
+    indeg = [0] * ncomp
+    for outs in cond_adj:
+        for c in outs:
+            indeg[c] += 1
+    order = [0] * ncomp
+    stack = [c for c in range(ncomp) if indeg[c] == 0]
+    pos = 0
+    while stack:
+        c = stack.pop()
+        order[c] = pos
+        pos += 1
+        for nxt in cond_adj[c]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                stack.append(nxt)
+
+    states: list[Optional[int]] = [None] * n
+    for (v, s), i in var_of.items():
+        if order[labels[2 * i]] > order[labels[2 * i + 1]]:
+            states[v] = s
+    return states
+
+
+def reference_components(g: Graph) -> ComponentReport:
+    """`graphs.components` by union-find, one Python step per edge."""
+    uf = UnionFind(g.n)
+    for u, v in g.edges:
+        uf.union(u, v)
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):
+        members.setdefault(uf.find(v), []).append(v)
+    ecount = {root: 0 for root in members}
+    for u, v in g.edges:
+        ecount[uf.find(u)] += 1
+    comps = sorted(members.values())
+    counts = tuple(ecount[uf.find(c[0])] for c in comps)
+    classes = []
+    for comp, ec in zip(comps, counts):
+        excess = ec - len(comp) + 1
+        classes.append("tree" if excess == 0 else "unicyclic" if excess == 1 else "multicyclic")
+    return ComponentReport(
+        components=tuple(tuple(c) for c in comps),
+        edge_counts=counts,
+        classes=tuple(classes),
+        max_size=max((len(c) for c in comps), default=0),
+        multicyclic_count=sum(1 for c in classes if c == "multicyclic"),
+    )
+
+
+def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
+    """Backbone from a whole-instance `reference_solve` and an engine grown
+    edge by edge: every witness state is probed, tree components included."""
+    edges = list(inst.edge_tuples())
+    witness = reference_solve(inst.n, edges)
+    if witness is None:
+        return None
+    eng = TwoSatEngine(inst.n)
+    for e in edges:
+        eng.add_edge(*e)
+    for v, h in enumerate(witness):
+        if h is not None and eng.frozen[v] is None and eng.pinned_to(v, h):
+            eng.freeze(v, h)
+    return {v: s for v, s in enumerate(eng.frozen) if s is not None}
+
+
+def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
+    """`structure.decouple` with union-find components and residual split."""
+    g = inst.graph
+    rep = reference_components(g)
+    cutoff = component_cutoff(g.n, cutoff_c)
+    frozen = reference_backbone(inst)
+    if frozen is None:
+        return Decomposition(
+            frozen={},
+            residual_components=rep.components,
+            label="frustrated",
+            cutoff=cutoff,
+            residual_max=rep.max_size,
+            report=rep,
+        )
+    alive = [v for v in range(g.n) if v not in frozen]
+    index = {v: i for i, v in enumerate(alive)}
+    uf = UnionFind(len(alive))
+    for u, v in g.edges:
+        if u in index and v in index:
+            uf.union(index[u], index[v])
+    groups: dict[int, list[int]] = {}
+    for v in alive:
+        groups.setdefault(uf.find(index[v]), []).append(v)
+    residual = tuple(tuple(c) for c in sorted(groups.values()))
+    residual_max = max((len(c) for c in residual), default=0)
+    if rep.max_size <= cutoff:
+        label = "highly_disconnected"
+    elif residual_max <= cutoff:
+        label = "highly_decoupled"
+    else:
+        label = "unclassified"
+    return Decomposition(
+        frozen=frozen,
+        residual_components=residual,
+        label=label,
+        cutoff=cutoff,
+        residual_max=residual_max,
+        report=rep,
+    )

@@ -189,3 +189,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == 0.5
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # about 2700 components, one analyze line each: far more than a pipe holds
+    path = str(tmp_path / "r.q2")
+    assert main(["gen", "--model", "er", "--n", "3000", "--m", "300", "--f", "2", "--out", path]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsat2.cli", "analyze", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"instance n=3000")
+    assert err == b""
+    assert proc.returncode == 1

@@ -18,6 +18,8 @@ from qsat2.graphs import (
     sample_lattice,
 )
 
+from oracles import reference_components
+
 
 def test_graph_validates():
     g = Graph(4, ((0, 1), (1, 2)))
@@ -139,6 +141,28 @@ def test_components_match_bfs(n, data):
         assert inner == ec
         excess = ec - len(comp) + 1
         assert cls == ("tree" if excess == 0 else "unicyclic" if excess == 1 else "multicyclic")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["er", "lat2"]), st.integers(0, 2**32), st.data())
+def test_components_match_union_find_reference(model, seed, data):
+    if model == "er":
+        n = data.draw(st.integers(0, 80))
+        m = data.draw(st.integers(0, min(2 * n, n * (n - 1) // 2)))
+        g = sample_er_graph(n, m, seed)
+    else:
+        g = sample_lattice(2, data.draw(st.integers(2, 9)), data.draw(st.floats(0.0, 1.0)), seed)
+    rep = components(g)
+    assert rep == reference_components(g)
+    ints = [v for comp in rep.components for v in comp] + list(rep.edge_counts)
+    assert all(type(x) is int for x in ints + [rep.max_size, rep.multicyclic_count])
+
+
+def test_components_of_empty_and_edgeless_graphs():
+    assert components(Graph(0, ())) == reference_components(Graph(0, ()))
+    rep = components(Graph(3, ()))
+    assert rep.components == ((0,), (1,), (2,)) and rep.classes == ("tree",) * 3
+    assert rep == reference_components(Graph(3, ()))
 
 
 def complete_graph(n):

@@ -1,4 +1,6 @@
 import random
+from functools import cached_property
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,12 +29,15 @@ from qsat2.structure import (
 
 from qsat2.seeding import derive_trial_seed
 from qsat2.sweep import generate_instance
+from qsat2.twosat import TwoSatEngine
 
 from oracles import (
     brute_force_backbone,
     loop_seed_fixed_states,
     naive_vertex_options,
+    reference_backbone,
     reference_component_satisfiable,
+    reference_decouple,
 )
 
 EXACT = RankBackendConfig(mode="exact_rational")
@@ -298,6 +303,78 @@ def test_decouple_residual_components():
     assert dec.residual_components == ()
     assert dec.residual_max == 0
     assert dec.label == "highly_decoupled"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_decouple_matches_reference(model, f, cond, seed, data):
+    if model == "er":
+        n = data.draw(st.integers(1, 120))
+        kw = dict(n=n, m=data.draw(st.integers(0, min(3 * n, n * (n - 1) // 2))))
+    else:
+        kw = dict(L=data.draw(st.integers(2, 10)), p=data.draw(st.floats(0.0, 1.0)))
+    inst = generate_instance(
+        model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
+    )
+    cutoff_c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    assert decouple(inst, cutoff_c) == reference_decouple(inst, cutoff_c)
+
+
+def test_decouple_everything_frozen_leaves_no_residual():
+    inst = generate_instance("er", FactorDistribution.uniform(4), 0, n=12, m=30, cond="free")
+    dec = decouple(inst)
+    assert len(dec.frozen) == inst.n
+    assert dec.residual_components == () and dec.residual_max == 0
+    assert dec == reference_decouple(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.data())
+def test_forest_never_reaches_the_solve(n, f, data):
+    # each vertex joins an earlier one or starts a new tree
+    edges = []
+    for v in range(1, n):
+        parent = data.draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    pairs = [(data.draw(st.integers(0, f - 1)), data.draw(st.integers(0, f - 1))) for _ in edges]
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    inst = inst_of(n, [edges[i] for i in order], [pairs[i] for i in order], f)
+    seen = []
+    solve = TwoSatEngine.solve
+
+    def spy(self, want_witness=True):
+        seen.append(len(self.edges))
+        return solve(self, want_witness)
+
+    with mock.patch.object(TwoSatEngine, "solve", spy):
+        dec = decouple(inst)
+    assert seen == [0]
+    assert dec.frozen == {} == reference_backbone(inst)
+    assert dec.residual_components == dec.report.components
+
+
+def test_frustrated_decouple_builds_no_incident_index(monkeypatch):
+    builds = []
+    build = Instance.incident.func
+
+    def counted(inst):
+        builds.append(inst)
+        return build(inst)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Instance, "incident")
+    monkeypatch.setattr(Instance, "incident", prop)
+    a = [(0, 1), (0, 1), (1, 0)]
+    b = [(2, 3), (2, 3), (3, 2)]
+    assert decouple(build_figure_eight(a, b)).label == "frustrated"
+    assert builds == []
 
 
 def test_frozen_subgraph_core():

@@ -32,7 +32,7 @@ def test_parse_config_round_trip():
 
 def test_parse_config_weighted_q_and_flags():
     cfg = parse_config(
-        "model=lat2\nL=8\ngrid=0.5\ntrials=2\nq=3,2,1\nseed=0\n"
+        "model=lat2\nL=8\ngrid=0.5\ntrials=2\nq=3,2,1\nf=3\nseed=0\n"
         "fig8_l3=on\nvalue=on\ncutoff_c=2.5\nmax_component_qubits=12\ncond=ff\n"
     )
     assert cfg.model == "lat2" and cfg.L == 8
@@ -204,6 +204,14 @@ INVALID_SWEEPS = {
     "cutoff_not_float": (
         "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=abc\n",
         "'cutoff_c'.*float.*'abc'",
+    ),
+    "f_not_int_with_q_list": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nq=1/2,1/2\nf=two\n",
+        "'f'.*int.*'two'",
+    ),
+    "f_disagrees_with_q_list": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nq=1/2,1/2\nf=3\n",
+        "'f' is 3, but q lists 2 weights",
     ),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qsat2.twosat import TwoSatEngine, solve_edges
 
-from oracles import brute_force_kernel_assignment, reference_pinned_to
+from oracles import brute_force_kernel_assignment, reference_pinned_to, reference_solve
 
 
 @st.composite
@@ -23,6 +23,12 @@ def small_systems(draw):
     return n, f, edges
 
 
+def _assert_witness(states, edges):
+    # None means no kernel state at all, so it satisfies no clause
+    for u, v, h, j in edges:
+        assert states[u] == h or states[v] == j, (u, v, h, j)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_systems())
 def test_solve_matches_brute_force(sys_):
@@ -30,12 +36,35 @@ def test_solve_matches_brute_force(sys_):
     ref = brute_force_kernel_assignment(n, edges, f)
     got = solve_edges(n, edges)
     assert (got is not None) == (ref is not None)
+    assert (got is None) == (reference_solve(n, edges) is None)
+    assert (solve_edges(n, edges, want_witness=False) is None) == (got is None)
     if got is not None:
-        # every constrained vertex carries a concrete state; frees stay None
-        for u, v, h, j in edges:
-            su = got[u] if got[u] is not None else h
-            sv = got[v] if got[v] is not None else j
-            assert su == h or sv == j
+        assert len(got) == n
+        _assert_witness(got, edges)
+
+
+@st.composite
+def larger_systems(draw):
+    n = draw(st.integers(1, 40))
+    f = draw(st.integers(1, 4))
+    pairs = list(combinations(range(n), 2))
+    chosen = sorted(draw(st.permutations(pairs))[: draw(st.integers(0, min(60, len(pairs))))])
+    edges = [
+        (u, v, draw(st.integers(0, f - 1)), draw(st.integers(0, f - 1))) for u, v in chosen
+    ]
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_systems())
+def test_solve_matches_reference_solve(sys_):
+    n, edges = sys_
+    got = solve_edges(n, edges)
+    ref = reference_solve(n, edges)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        _assert_witness(got, edges)
+        _assert_witness(ref, edges)
 
 
 def _satisfying(n, f, edges):
