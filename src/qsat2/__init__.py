@@ -5,24 +5,14 @@ lattice), attach a rank-1 projector built from two random single-qubit
 bras to every edge, then ask structural questions (is the instance
 frustrated, which qubits are frozen, how small are the residual
 components) and exact ones (the ground-space dimension, an integer).
+The names below are the library surface; everything else stays in its
+module.
 """
 
-from .counting import (
-    MOD_PRIMES,
-    ComponentCapError,
-    RankBackendConfig,
-    component_rank,
-    component_value,
-    instance_value,
-    kernel_basis,
-    product_tree,
-)
-from .constraints import BraConstraint, ProductConstraint, chain_constraint, induce
-from .exactq import GaussianRational, BraState, bra, kernel_ket, parse_bra, proportional
+from .counting import ComponentCapError, RankBackendConfig, component_value, instance_value
+from .exactq import bra
 from .graphs import (
     ComponentReport,
-    Domino,
-    FigureEight,
     Graph,
     components,
     enumerate_cycles,
@@ -36,112 +26,60 @@ from .instances import (
     Instance,
     InstanceParseError,
     ResampleBudgetError,
-    default_factors,
     format_instance,
     load_instance,
     parse_instance,
-    product_witness,
     sample_frustration_free_instance,
     sample_instance,
     satisfiable,
     save_instance,
 )
-from .seeding import derive_trial_seed, mix64, stream_seed
-from .stats import (
-    DistributionFunctionals,
-    ThresholdReport,
-    distinct_triple_probability,
-    domino_frustration_probability,
-    domino_positions,
-    expected_dominoes,
-    expected_figure_eights,
-    functionals,
-    giant_fraction,
-    residual_density,
-    thresholds,
-    xi,
-)
+from .seeding import derive_trial_seed
+from .stats import functionals, thresholds, xi
 from .structure import (
     Decomposition,
     FrozenSubgraph,
-    FrustrationCertificate,
-    component_satisfiable,
     decouple,
     domino_frustrated,
     figure_eight_frustrated,
     fixed_states,
     frozen_subgraph,
-    frustration_certificate,
-    vertex_options,
 )
-from .sweep import SweepConfig, TrialRecord, generate_instance, parse_config, run_sweep
-from .twosat import TwoSatEngine, solve_edges
+from .sweep import SweepConfig, generate_instance, parse_config, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraConstraint",
-    "BraState",
     "ComponentCapError",
     "ComponentReport",
     "Decomposition",
-    "DistributionFunctionals",
-    "Domino",
     "FactorDistribution",
-    "FigureEight",
     "FrozenSubgraph",
-    "FrustrationCertificate",
-    "GaussianRational",
     "Graph",
     "Instance",
     "InstanceParseError",
-    "MOD_PRIMES",
-    "ProductConstraint",
     "RankBackendConfig",
     "ResampleBudgetError",
     "SweepConfig",
-    "ThresholdReport",
-    "TrialRecord",
-    "TwoSatEngine",
     "bra",
-    "chain_constraint",
-    "component_rank",
-    "component_satisfiable",
     "component_value",
     "components",
     "decouple",
-    "default_factors",
     "derive_trial_seed",
-    "distinct_triple_probability",
     "domino_frustrated",
-    "domino_frustration_probability",
-    "domino_positions",
     "enumerate_cycles",
     "enumerate_dominoes",
     "enumerate_figure_eights",
-    "expected_dominoes",
-    "expected_figure_eights",
     "figure_eight_frustrated",
     "fixed_states",
     "format_instance",
     "frozen_subgraph",
-    "frustration_certificate",
     "functionals",
     "generate_instance",
-    "giant_fraction",
-    "induce",
     "instance_value",
-    "kernel_basis",
-    "kernel_ket",
     "load_instance",
-    "mix64",
-    "parse_bra",
     "parse_config",
     "parse_instance",
-    "product_tree",
-    "product_witness",
-    "proportional",
-    "residual_density",
     "run_sweep",
     "sample_er_graph",
     "sample_frustration_free_instance",
@@ -149,9 +87,6 @@ __all__ = [
     "sample_lattice",
     "satisfiable",
     "save_instance",
-    "solve_edges",
-    "stream_seed",
     "thresholds",
-    "vertex_options",
     "xi",
 ]

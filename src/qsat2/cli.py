@@ -21,7 +21,7 @@ from .instances import (
     save_instance,
 )
 from .stats import functionals, thresholds, xi
-from .structure import component_satisfiable, decouple
+from .structure import decouple
 from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
 
 
@@ -80,9 +80,9 @@ def _cmd_analyze(args) -> int:
         f"model={inst.graph.model_tag()} cond={inst.conditioning}"
     )
     print(f"cutoff={dec.cutoff} (c*log2(n))")
-    sat = [not frustrated or component_satisfiable(inst, c) for c in rep.components]
+    frustrated_ids = set(dec.frustrated_components)
     for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
-        if not sat[cid]:
+        if cid in frustrated_ids:
             label = "frustrated"
         elif len(comp) <= dec.cutoff:
             label = "highly_disconnected"

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactq import GQ_ONE, GaussianRational
-from .graphs import components
-from .instances import Instance, satisfiable
+from .exactq import GaussianRational
+from .instances import Instance
 from .structure import Decomposition, decouple
 
 # 62-bit primes with p = 1 (mod 4); the second and later entries verify the
@@ -182,9 +181,9 @@ def _constraint_blocks(
             yield entries, full & ~(1 << pu | 1 << pv)
 
 
-def _echelon_rank(blocks: Iterable, field, basis_out: Optional[dict] = None) -> int:
+def _echelon_rank(blocks: Iterable, field) -> int:
     """Incremental sparse echelon: insert each row, reduce by leading column."""
-    basis: dict[int, dict] = {} if basis_out is None else basis_out
+    basis: dict[int, dict] = {}
     for entries, mask in blocks:
         coeffs = [(off, field.embed(c)) for off, c in entries]  # once per block
         rest = 0
@@ -242,35 +241,6 @@ def component_value(
     return (1 << k) - component_rank(inst, component, config, frozen)
 
 
-def kernel_basis(
-    inst: Instance, component: Sequence[int]
-) -> list[dict[int, GaussianRational]]:
-    """Exact kernel basis vectors, as sparse maps basis-state -> amplitude.
-
-    Intended for verification on small components; cost grows with both the
-    component size and the kernel dimension.
-    """
-    basis: dict[int, dict] = {}
-    field = _ExactField()
-    _echelon_rank(_constraint_blocks(inst, component), field, basis_out=basis)
-    k = len(component)
-    # reduced echelon: clear occurrences of other leading columns
-    for lead in sorted(basis, reverse=True):
-        row = basis[lead]
-        for other in [c for c in row if c in basis and c != lead]:
-            field.reduce_row(row, row.pop(other), basis[other])
-    out = []
-    free = [c for c in range(1 << k) if c not in basis]
-    for c in free:
-        vec: dict[int, GaussianRational] = {c: GQ_ONE}
-        for lead, row in basis.items():
-            val = row.get(c)
-            if val is not None:
-                vec[lead] = -val
-        out.append(vec)
-    return out
-
-
 def product_tree(values: Sequence[int]) -> int:
     """Exact product, combining the two smallest factors first.
 
@@ -306,24 +276,10 @@ def decomposition_value(
     )
 
 
-def instance_value(
-    inst: Instance,
-    config: RankBackendConfig = DEFAULT_CONFIG,
-    use_decoupling: bool = True,
-) -> int:
+def instance_value(inst: Instance, config: RankBackendConfig = DEFAULT_CONFIG) -> int:
     """Dimension of the instance's full ground space; 0 iff frustrated.
 
-    With decoupling, frozen qubits are removed first and the residual
-    components are counted independently.  Without it, raw connected
-    components are used; both routes agree whenever the caps allow
-    computing them.
+    Frozen qubits are removed first and the residual components are counted
+    independently.
     """
-    if use_decoupling:
-        return decomposition_value(inst, decouple(inst), config)
-    if not satisfiable(inst):
-        return 0
-    values = [
-        component_value(inst, comp, config)
-        for comp in components(inst.graph).components
-    ]
-    return product_tree(values)
+    return decomposition_value(inst, decouple(inst), config)

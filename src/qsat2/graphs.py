@@ -294,16 +294,14 @@ def _rotate_to(cycle: tuple[int, ...], v: int) -> tuple[int, ...]:
     return cycle[k:] + cycle[:k]
 
 
-def enumerate_figure_eights(
-    g: Graph, length: int, allow_long: bool = False
-) -> list[FigureEight]:
+def enumerate_figure_eights(g: Graph, length: int) -> list[FigureEight]:
     """All unordered pairs of `length`-cycles whose vertex sets meet in one point.
 
     Enumeration is quadratic in the number of cycles, so lengths above 4 are
-    refused unless `allow_long` is set.
+    refused.
     """
-    if length > 4 and not allow_long:
-        raise ValueError("cycle length above 4; pass allow_long=True to force")
+    if length > 4:
+        raise ValueError(f"cycle length {length} is above 4")
     cycles = enumerate_cycles(g, length)
     sets = [frozenset(c) for c in cycles]
     out: list[FigureEight] = []

@@ -183,10 +183,6 @@ class Instance:
         arr.flags.writeable = False
         return arr
 
-    def engine(self) -> TwoSatEngine:
-        """An engine over every edge: its solve and its queries see the same clauses."""
-        return TwoSatEngine(self.n, self.edge_array, self.incident)
-
 
 def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
     """Attach i.i.d. factor pairs from q (x) q to every edge of g."""
@@ -196,17 +192,8 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
 
 
 def satisfiable(inst: Instance) -> bool:
-    return TwoSatEngine(inst.n, inst.edge_array).solve(want_witness=False) is not None
-
-
-def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
-    """A satisfying product assignment: factor index per vertex, None = free.
-
-    A free vertex may take any state not orthogonal to any factor; such a
-    state always exists because the factor table is finite.  Returns None
-    when the instance is unsatisfiable.
-    """
-    return TwoSatEngine(inst.n, inst.edge_array).solve(want_witness=True)
+    states, _ = TwoSatEngine(inst.n, inst.edge_array).solve()
+    return states is not None
 
 
 class ResampleBudgetError(RuntimeError):

@@ -24,9 +24,18 @@ for deciding the whole clause set at once.
 The full solve builds the literal graph in numpy from an (m, 4) edge array
 and hands it to scipy's strongly connected components.  The clause set is
 unsatisfiable exactly when some variable shares a component with its
-negation.  Otherwise a literal is true when its component comes after its
-negation's in a topological order of the condensation.  Any linear
-extension of the condensation order gives a satisfying assignment
+negation, and the solve then names the vertices of every such variable.
+Each clash lies inside one connected component of the interaction graph:
+every arc joins two variables of one vertex (at most one kernel state) or
+of the two ends of one edge, so a strongly connected component never spans
+two graph components.  The literal graph of a graph component's own clauses
+is the whole literal graph restricted to that component, so the component
+is unsatisfiable exactly when one of its vertices clashes: the clashing
+vertices name the frustrated components.
+
+On a satisfiable clause set a literal is true when its component comes
+after its negation's in a topological order of the condensation.  Any
+linear extension of the condensation order gives a satisfying assignment
 (Aspvall, Plass and Tarjan 1979): a violated clause (a or b) would need
 a before not-a and b before not-b, while the arcs not-a -> b and not-b -> a
 put not-a no later than b and not-b no later than a, a cycle in a linear
@@ -171,18 +180,20 @@ class TwoSatEngine:
 
     # -- full solve ---------------------------------------------------------
 
-    def solve(self, want_witness: bool = True) -> Optional[list[Optional[int]]]:
+    def solve(self) -> tuple[Optional[list[Optional[int]]], list[int]]:
         """Solve the full clause set.
 
-        Returns None when unsatisfiable, otherwise one satisfying partial
-        assignment: states[v] is a factor index or None when no edge needs
-        v in a kernel state (any state works there).  With want_witness
-        False a satisfiable outcome returns an empty assignment list.
+        Returns (states, clashing).  When the clause set is satisfiable,
+        states is one satisfying partial assignment (states[v] is a factor
+        index, or None when no edge needs v in a kernel state: any state
+        works there) and clashing is empty.  Otherwise states is None and
+        clashing lists, ascending, the vertices with a variable in its
+        negation's strongly connected component.
         """
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 4)
         m = len(edges)
         if m == 0:
-            return [None] * self.n
+            return [None] * self.n, []
         u, v, h, j = edges.T
         f = int(max(h.max(), j.max())) + 1
         # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
@@ -207,10 +218,9 @@ class TwoSatEngine:
             (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
         )
         ncomp, labels = connected_components(graph, directed=True, connection="strong")
-        if np.any(labels[0::2] == labels[1::2]):
-            return None
-        if not want_witness:
-            return []
+        clash = labels[0::2] == labels[1::2]
+        if clash.any():
+            return None, np.unique(vert[clash]).tolist()
 
         # scipy's labels carry no order guarantee; order the condensation
         # by (level, label) and take a literal as true when its component
@@ -225,7 +235,7 @@ class TwoSatEngine:
         states: list[Optional[int]] = [None] * self.n
         for w, s in zip((chosen // f).tolist(), (chosen % f).tolist()):
             states[w] = s
-        return states
+        return states, []
 
 
 def _levels(ncomp: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -252,11 +262,3 @@ def _levels(ncomp: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
         depth += 1
     return level
 
-
-def solve_edges(
-    n: int,
-    edges: Sequence[tuple[int, int, int, int]],
-    want_witness: bool = True,
-) -> Optional[list[Optional[int]]]:
-    """One-shot solve for an edge list, without building queries first."""
-    return TwoSatEngine(n, edges).solve(want_witness=want_witness)

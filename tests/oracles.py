@@ -2,12 +2,15 @@
 
 Everything here favors directness over speed: dense numpy tensors, brute
 force over all assignments, term-by-term series.  Tests compare package
-results against these.
+results against these.  The later sections hold code that only tests use:
+constraint composition along paths, kernel bases, product witnesses and the
+loop option sets behind frustration certificates.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -17,12 +20,22 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from qsat2.counting import MOD_PRIMES, RankBackendConfig, _ExactField, _ModField, _PrimeClash
+from qsat2.counting import (
+    DEFAULT_CONFIG,
+    MOD_PRIMES,
+    RankBackendConfig,
+    _constraint_blocks,
+    _ExactField,
+    _ModField,
+    _PrimeClash,
+    component_value,
+    product_tree,
+)
 from qsat2.exactq import GQ_ONE, BraState, GaussianRational
-from qsat2.graphs import ComponentReport, Graph, UnionFind
-from qsat2.instances import FactorDistribution, Instance
-from qsat2.structure import Decomposition, component_cutoff, vertex_options
-from qsat2.twosat import TwoSatEngine, solve_edges
+from qsat2.graphs import ComponentReport, Graph, UnionFind, components
+from qsat2.instances import FactorDistribution, Instance, satisfiable
+from qsat2.structure import Decomposition, FrozenSubgraph, component_cutoff, decouple
+from qsat2.twosat import TwoSatEngine
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -204,19 +217,19 @@ def reference_component_rank(
     return ranks[0]
 
 
-def reference_kernel_basis(
-    inst: Instance, component: Sequence[int]
-) -> list[dict[int, GaussianRational]]:
-    """`counting.kernel_basis` over the full-scan rows, one row at a time."""
+def _kernel_from_rows(rows, k: int) -> list[dict[int, GaussianRational]]:
+    """Exact kernel basis of the rows over 2^k basis states, as sparse maps
+    basis-state -> amplitude, from a reduced echelon form."""
     basis: dict[int, dict] = {}
     field = _ExactField()
-    reference_echelon_rank(reference_constraint_rows(inst, component), field, basis_out=basis)
+    reference_echelon_rank(rows, field, basis_out=basis)
+    # reduced echelon: clear occurrences of other leading columns
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
         for other in [c for c in row if c in basis and c != lead]:
             field.reduce_row(row, row.pop(other), basis[other])
     out = []
-    for c in range(1 << len(component)):
+    for c in range(1 << k):
         if c in basis:
             continue
         vec: dict[int, GaussianRational] = {c: GQ_ONE}
@@ -228,15 +241,43 @@ def reference_kernel_basis(
     return out
 
 
+def kernel_basis(inst: Instance, component: Sequence[int]) -> list[dict[int, GaussianRational]]:
+    """Exact kernel basis of one component from the package's constraint rows.
+
+    Intended for verification on small components; cost grows with both the
+    component size and the kernel dimension.
+    """
+    return _kernel_from_rows(block_rows(_constraint_blocks(inst, component)), len(component))
+
+
+def reference_kernel_basis(
+    inst: Instance, component: Sequence[int]
+) -> list[dict[int, GaussianRational]]:
+    """`kernel_basis` over the full-scan rows."""
+    return _kernel_from_rows(reference_constraint_rows(inst, component), len(component))
+
+
+def raw_instance_value(inst: Instance, config: RankBackendConfig = DEFAULT_CONFIG) -> int:
+    """Ground-space dimension over the raw connected components, nothing
+    frozen removed first; 0 iff frustrated."""
+    if not satisfiable(inst):
+        return 0
+    return product_tree(
+        [component_value(inst, comp, config) for comp in components(inst.graph).components]
+    )
+
+
 def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:
-    """Kernel-state search on one component, its edges found by a full scan."""
+    """Kernel-state search on one component, its edges found by a full scan
+    and solved by `reference_solve`."""
     local = {v: i for i, v in enumerate(sorted(comp))}
     edges = [
         (local[u], local[v], h, j)
         for u, v, h, j in inst.edge_tuples()
         if u in local
     ]
-    return solve_edges(len(local), edges, want_witness=False) is not None
+    states, _ = reference_solve(len(local), edges)
+    return states is not None
 
 
 def diagonal_count(inst: Instance) -> int:
@@ -357,7 +398,7 @@ def loop_seed_fixed_states(inst: Instance) -> dict[int, int]:
     the frozen-set algorithm `structure.decouple` used before it switched to
     the backbone probe; the instance must be satisfiable.
     """
-    eng = inst.engine()
+    eng = instance_engine(inst)
     for x, opts in sorted(vertex_options(inst).items()):
         inter = frozenset.intersection(*opts)
         if len(inter) == 1:
@@ -413,7 +454,7 @@ def naive_frustration_free(
             h = dist.sample(rng)
             j = dist.sample(rng)
             trial = chosen + [(u, v, h, j)]
-            if solve_edges(g.n, trial, want_witness=False) is not None:
+            if TwoSatEngine(g.n, trial).solve()[0] is not None:
                 pairs[idx] = (h, j)
                 chosen = trial
                 break
@@ -468,10 +509,11 @@ def chain_survival_bruteforce(q: Sequence[Fraction], ell: int) -> Fraction:
 
 
 def reference_solve(
-    n: int, edges: Sequence[tuple[int, int, int, int]], want_witness: bool = True
-) -> Optional[list[Optional[int]]]:
+    n: int, edges: Sequence[tuple[int, int, int, int]]
+) -> tuple[Optional[list[Optional[int]]], list[int]]:
     """`TwoSatEngine.solve` with Python lists: literal ids by first appearance,
-    explicit arc lists and a Kahn sort of the condensation."""
+    explicit arc lists and a Kahn sort of the condensation.  Returns (states,
+    clashing) as the engine does."""
     var_of: dict[tuple[int, int], int] = {}
 
     def vid(v: int, s: int) -> int:
@@ -512,17 +554,15 @@ def reference_solve(
 
     nlit = 2 * len(var_of)
     if nlit == 0:
-        return [None] * n
+        return [None] * n, []
     graph = csr_matrix(
         (np.ones(len(src), dtype=np.int8), (np.array(src), np.array(dst))),
         shape=(nlit, nlit),
     )
     ncomp, labels = connected_components(graph, directed=True, connection="strong")
-    for i in range(len(var_of)):
-        if labels[2 * i] == labels[2 * i + 1]:
-            return None
-    if not want_witness:
-        return []
+    clashing = sorted({v for (v, s), i in var_of.items() if labels[2 * i] == labels[2 * i + 1]})
+    if clashing:
+        return None, clashing
 
     cond_adj: list[set[int]] = [set() for _ in range(ncomp)]
     for a, b in zip(src, dst):
@@ -549,7 +589,7 @@ def reference_solve(
     for (v, s), i in var_of.items():
         if order[labels[2 * i]] > order[labels[2 * i + 1]]:
             states[v] = s
-    return states
+    return states, []
 
 
 def reference_components(g: Graph) -> ComponentReport:
@@ -582,7 +622,7 @@ def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
     """Backbone from a whole-instance `reference_solve` and an engine grown
     edge by edge: every witness state is probed, tree components included."""
     edges = list(inst.edge_tuples())
-    witness = reference_solve(inst.n, edges)
+    witness, _ = reference_solve(inst.n, edges)
     if witness is None:
         return None
     eng = TwoSatEngine(inst.n)
@@ -594,8 +634,39 @@ def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}
 
 
+def reference_frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
+    """`structure.frozen_subgraph` by one Python step per edge and a
+    union-find over the frozen vertices."""
+    arcs: list[tuple[int, int]] = []
+    for u, v, h, j in inst.edge_tuples():
+        fu, fv = frozen.get(u), frozen.get(v)
+        if fu is not None and fu != h:
+            if fv is None:
+                raise ValueError(f"arc {u}->{v} leaves the frozen set")
+            arcs.append((u, v))
+        if fv is not None and fv != j:
+            if fu is None:
+                raise ValueError(f"arc {v}->{u} leaves the frozen set")
+            arcs.append((v, u))
+    verts = sorted(frozen)
+    index = {v: i for i, v in enumerate(verts)}
+    uf = UnionFind(len(verts))
+    for x, y in arcs:
+        uf.union(index[x], index[y])
+    groups: dict[int, list[int]] = {}
+    for v in verts:
+        groups.setdefault(uf.find(index[v]), []).append(v)
+    comps = sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+    return FrozenSubgraph(
+        arcs=tuple(sorted(arcs)),
+        components=tuple(tuple(c) for c in comps),
+        core=tuple(comps[0]) if comps else (),
+    )
+
+
 def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
-    """`structure.decouple` with union-find components and residual split."""
+    """`structure.decouple` with union-find components and residual split,
+    and every component's satisfiability solved on its own."""
     g = inst.graph
     rep = reference_components(g)
     cutoff = component_cutoff(g.n, cutoff_c)
@@ -608,6 +679,11 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
             cutoff=cutoff,
             residual_max=rep.max_size,
             report=rep,
+            frustrated_components=tuple(
+                cid
+                for cid, comp in enumerate(rep.components)
+                if not reference_component_satisfiable(inst, comp)
+            ),
         )
     alive = [v for v in range(g.n) if v not in frozen]
     index = {v: i for i, v in enumerate(alive)}
@@ -633,4 +709,243 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         cutoff=cutoff,
         residual_max=residual_max,
         report=rep,
+        frustrated_components=(),
     )
+
+
+def instance_engine(inst: Instance) -> TwoSatEngine:
+    """An engine over every edge: its solve and its queries see the same clauses."""
+    return TwoSatEngine(inst.n, inst.edge_array, inst.incident)
+
+
+def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
+    """A satisfying product assignment: factor index per vertex, None = free.
+
+    A free vertex may take any state not orthogonal to any factor; such a
+    state always exists because the factor table is finite.  Returns None
+    when the instance is unsatisfiable.
+    """
+    states, _ = TwoSatEngine(inst.n, inst.edge_array).solve()
+    return states
+
+
+# ---------------------------------------------------------------------------
+# two-qubit product constraints and their composition along paths
+#
+# A constraint on an edge (u, v) is a product bra <b_u| (x) <g_v|.  Composing
+# two constraints that share their middle qubit through the singlet state
+# |01> - |10> yields either the zero functional (when the middle bras are
+# proportional, so the shared qubit can satisfy both sides at once) or another
+# product constraint on the outer qubits.  Folding a path edge by edge gives
+# the effective constraint a chain imposes on its endpoints.
+
+
+@dataclass(frozen=True)
+class BraConstraint:
+    """Bra-valued product constraint <left|_u (x) <right|_v on the pair (u, v)."""
+
+    u: int
+    v: int
+    left: BraState
+    right: BraState
+
+
+@dataclass(frozen=True)
+class ProductConstraint:
+    """Edge constraint stored by factor index into a shared factor table.
+
+    `h` is the factor applied at `u`, `j` the factor at `v`, with u < v in
+    canonical orientation.  Keeping indices (rather than bras) makes junction
+    tests integer comparisons.
+    """
+
+    u: int
+    v: int
+    h: int
+    j: int
+
+    def realize(self, factors: Sequence[BraState]) -> BraConstraint:
+        return BraConstraint(self.u, self.v, factors[self.h], factors[self.j])
+
+
+def induce(c1: BraConstraint, c2: BraConstraint) -> Optional[BraConstraint]:
+    """Contract two constraints through a singlet on their shared middle qubit.
+
+    c1 acts on (u, x) and c2 on (x, w).  Returns the induced constraint on
+    (u, w), or None when the middle bras are proportional and the contraction
+    annihilates.  Raises ValueError if the constraints do not share a middle
+    qubit in that orientation.
+    """
+    if c1.v != c2.u:
+        raise ValueError(f"constraints do not chain: ({c1.u},{c1.v}) then ({c2.u},{c2.v})")
+    b, g = c1.right, c2.left
+    s = b.c0 * g.c1 - b.c1 * g.c0
+    if s.is_zero():
+        return None
+    # The scalar s only rescales the induced bra pair, which is projective.
+    return BraConstraint(c1.u, c2.v, c1.left, c2.right)
+
+
+def chain_constraint(
+    constraints: Sequence[BraConstraint],
+    path: Optional[Sequence[int]] = None,
+) -> Optional[BraConstraint]:
+    """Fold a path's constraints left to right; None once any junction dies.
+
+    Induction is associative, so the fold order does not matter; left to
+    right keeps the partial constraint anchored at the path's first vertex.
+    When `path` is given it must list the traversed vertices and is checked
+    against the constraints' endpoints.
+    """
+    if not constraints:
+        raise ValueError("empty chain")
+    if path is not None:
+        if len(path) != len(constraints) + 1:
+            raise ValueError(
+                f"path of {len(path)} vertices cannot carry {len(constraints)} constraints"
+            )
+        for c, a, b in zip(constraints, path, path[1:]):
+            if (c.u, c.v) != (a, b):
+                raise ValueError(f"constraint on ({c.u},{c.v}) does not match path edge ({a},{b})")
+    acc: Optional[BraConstraint] = constraints[0]
+    for nxt in constraints[1:]:
+        acc = induce(acc, nxt)
+        if acc is None:
+            return None
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# loop option sets and frustration certificates
+#
+# Loop option sets explain frustration: a cyclic walk whose junctions all
+# stay alive carries a nonzero chain constraint from a vertex back to itself,
+# restricting that vertex to one of at most two kernel states (one per end
+# factor).  A vertex whose option sets admit no common state certifies that
+# the instance is frustrated.
+#
+# Propagation states are (vertex, factor) pairs: vertex v held in the kernel
+# state of factor a.  State (v, a) forces (w, j) along an edge (v, w) with
+# factors (h, j) whenever h != a.  A walk in this state graph is exactly an
+# alternating walk: every hop checks the junction at its source vertex.
+
+
+@dataclass(frozen=True)
+class FrustrationCertificate:
+    """Explanation attached to an unsatisfiable instance.
+
+    kind "loop": the option sets at `vertex` admit no common state.
+    kind "twosat": no loop explanation was found; `vertex` is the smallest
+    vertex of the first component that clashes in the engine solve.
+    """
+
+    kind: str
+    vertex: int
+    option_sets: Optional[tuple[frozenset[int], ...]] = None
+
+
+def _state_arcs(inst: Instance) -> tuple[list[int], list[int]]:
+    f = inst.dist.f
+    src: list[int] = []
+    dst: list[int] = []
+    for u, v, h, j in inst.edge_tuples():
+        for a in range(f):
+            if a != h:
+                src.append(u * f + a)
+                dst.append(v * f + j)
+            if a != j:
+                src.append(v * f + a)
+                dst.append(u * f + h)
+    return src, dst
+
+
+def _state_reach(inst: Instance) -> Optional[list[int]]:
+    """Per-state reachability closure as bitsets over all n*f states.
+
+    Collapses strongly connected components first, then accumulates in
+    reverse topological order; states in one component share a bitset.
+    Returns None when the state graph has no arcs at all.
+    """
+    f = inst.dist.f
+    nf = inst.n * f
+    src, dst = _state_arcs(inst)
+    if not src:
+        return None
+    mat = csr_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nf, nf)
+    )
+    ncomp, labels = connected_components(mat, directed=True, connection="strong")
+    own = [0] * ncomp
+    for s in range(nf):
+        own[labels[s]] |= 1 << s
+    edges_out: list[set[int]] = [set() for _ in range(ncomp)]
+    indeg = [0] * ncomp
+    for s, t in zip(src, dst):
+        a, b = labels[s], labels[t]
+        if a != b and b not in edges_out[a]:
+            edges_out[a].add(b)
+            indeg[b] += 1
+    order = [c for c in range(ncomp) if indeg[c] == 0]
+    for c in order:
+        for d in edges_out[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                order.append(d)
+    reach = own
+    for c in reversed(order):
+        acc = reach[c]
+        for d in edges_out[c]:
+            acc |= reach[d]
+        reach[c] = acc
+    return [reach[labels[s]] for s in range(nf)]
+
+
+def vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
+    """All loop option sets, grouped by vertex.
+
+    For each edge class h at a vertex x, every alternating walk leaving
+    through an h-edge and returning in state (x, b) contributes the option
+    set {h, b}: x must sit in one of those two kernel states (or h = b, a
+    single state) to satisfy the walk's chain constraint.
+    """
+    f = inst.dist.f
+    reach = _state_reach(inst)
+    if reach is None:
+        return {}
+    mask = (1 << f) - 1
+    starts: dict[tuple[int, int], int] = {}
+    for u, v, h, j in inst.edge_tuples():
+        key = (u, h)
+        starts[key] = starts.get(key, 0) | reach[v * f + j]
+        key = (v, j)
+        starts[key] = starts.get(key, 0) | reach[u * f + h]
+    out: dict[int, list[frozenset[int]]] = {}
+    for (x, h), bits in sorted(starts.items()):
+        returned = (bits >> (x * f)) & mask
+        while returned:
+            b = (returned & -returned).bit_length() - 1
+            returned &= returned - 1
+            opt = frozenset((h, b))
+            sets = out.setdefault(x, [])
+            if opt not in sets:
+                sets.append(opt)
+    return out
+
+
+def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
+    """None iff satisfiable; otherwise a best-effort explanation.
+
+    Satisfiability and the frustrated components come from `decouple`'s one
+    solve.  When some vertex's loop option sets admit no common state, that
+    vertex is reported; pairwise-consistent sets can still have empty joint
+    intersection, so the whole collection is checked.
+    """
+    dec = decouple(inst)
+    if dec.label != "frustrated":
+        return None
+    for x, opts in sorted(vertex_options(inst).items()):
+        inter = frozenset.intersection(*opts)
+        if not inter:
+            return FrustrationCertificate("loop", x, tuple(opts))
+    first = dec.frustrated_components[0]
+    return FrustrationCertificate("twosat", dec.report.components[first][0])

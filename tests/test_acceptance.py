@@ -11,8 +11,7 @@ import statistics
 import time
 from itertools import product
 
-from qsat2.constraints import BraConstraint, chain_constraint
-from qsat2.counting import instance_value, kernel_basis, product_tree
+from qsat2.counting import instance_value, product_tree
 from qsat2.exactq import GQ_ZERO, kernel_ket
 from qsat2.graphs import components, enumerate_dominoes, enumerate_figure_eights, sample_lattice
 from qsat2.instances import FactorDistribution, satisfiable
@@ -27,10 +26,10 @@ from qsat2.stats import (
 )
 from qsat2.structure import domino_frustrated, figure_eight_frustrated, fixed_states
 from qsat2.sweep import SweepConfig, generate_instance, run_sweep
-from qsat2.twosat import solve_edges
+from qsat2.twosat import TwoSatEngine
 
 import conftest
-from oracles import xi_series
+from oracles import BraConstraint, chain_constraint, kernel_basis, raw_instance_value, xi_series
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -86,7 +85,7 @@ def test_criterion_01_small_instance_audit():
         sat = satisfiable(inst)
         val = instance_value(inst)
         assert (val > 0) == sat, (model, f, cond, s)
-        assert val == instance_value(inst, use_decoupling=False), (model, f, cond, s)
+        assert val == raw_instance_value(inst), (model, f, cond, s)
         if sat:
             frozen = fixed_states(inst)
             if frozen:
@@ -239,7 +238,7 @@ def test_criterion_06_domino_statistics():
             (local[u], local[v], combo[2 * i], combo[2 * i + 1])
             for i, (u, v) in enumerate(dom_edges)
         ]
-        if solve_edges(len(verts), edges, want_witness=False) is None:
+        if TwoSatEngine(len(verts), edges).solve()[0] is None:
             unsat_assignments += 1
     p_dom = unsat_assignments / 4**7
     assert p_dom == float(domino_frustration_probability(dist))

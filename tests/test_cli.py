@@ -1,10 +1,19 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsat2.cli import main
-from qsat2.instances import load_instance
+from qsat2.instances import FactorDistribution, load_instance, satisfiable, save_instance
+from qsat2.sweep import generate_instance
+
+from oracles import reference_component_satisfiable, reference_components
 
 
 def run_cli(*args, capsys=None):
@@ -94,6 +103,39 @@ def test_count_frustrated(tmp_path, capsys):
     code, out, _ = run_cli("count", path, capsys=capsys)
     assert code == 0
     assert out.strip() == "VALUE 0 FRUSTRATED"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_analyze_frustrated_labels_match_reference(model, f, seed, data):
+    # ER samples are often a frustrated giant component among trees; lattices
+    # near percolation often hold several cyclic components, only some of
+    # which clash
+    if model == "er":
+        n = data.draw(st.integers(20, 120))
+        kw = dict(n=n, m=round(data.draw(st.floats(0.8, 2.0)) * n))
+    else:
+        kw = dict(L=data.draw(st.integers(10, 16)), p=data.draw(st.floats(0.5, 0.65)))
+    inst = generate_instance(model, FactorDistribution.uniform(f), seed, **kw)
+    assume(not satisfiable(inst))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fr.q2")
+        save_instance(inst, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", path]) == 0
+    comps = reference_components(inst.graph).components
+    lines = [ln.split() for ln in out.getvalue().splitlines() if ln.startswith("C ")]
+    assert [int(ln[1]) for ln in lines] == list(range(len(comps)))
+    for ln, comp in zip(lines, comps):
+        assert ln[2] == f"size={len(comp)}"
+        assert (ln[-1] == "label=frustrated") == (not reference_component_satisfiable(inst, comp))
+    assert "GLOBAL frustrated=1 label=frustrated" in out.getvalue()
 
 
 def test_count_cap_exit_code(tmp_path, capsys):

@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsat2.constraints import BraConstraint, ProductConstraint, chain_constraint, induce
 from qsat2.exactq import GaussianRational, bra
 
-from oracles import dense_chain, dense_induce, bra_vec, proportional_tensors
+from oracles import (
+    BraConstraint,
+    ProductConstraint,
+    bra_vec,
+    chain_constraint,
+    dense_chain,
+    dense_induce,
+    induce,
+    proportional_tensors,
+)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 gqs = st.builds(GaussianRational, fractions, fractions)

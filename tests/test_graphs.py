@@ -210,6 +210,12 @@ def test_figure_eight_enumeration():
     assert len(enumerate_figure_eights(complete_graph(5), 3)) == 15
 
 
+def test_figure_eights_refuse_cycles_above_four():
+    assert enumerate_figure_eights(complete_graph(5), 4) == []
+    with pytest.raises(ValueError, match="above 4"):
+        enumerate_figure_eights(complete_graph(5), 5)
+
+
 def test_domino_enumeration_counts():
     g = sample_lattice(2, 4, 1.0, seed=0)
     doms = enumerate_dominoes(g)

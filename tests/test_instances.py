@@ -16,14 +16,13 @@ from qsat2.instances import (
     format_instance,
     load_instance,
     parse_instance,
-    product_witness,
     sample_frustration_free_instance,
     sample_instance,
     satisfiable,
     save_instance,
 )
 
-from oracles import naive_frustration_free
+from oracles import naive_frustration_free, product_witness
 
 
 # --- factor distributions ---------------------------------------------------

@@ -2,7 +2,8 @@
 
 Deciding, freezing and decoupling share a single engine solve, and every
 consumer (the counter, the sweep, the CLI) reads the decomposition that
-`decouple` built instead of deciding the instance again.  Code that needs
+`decouple` built instead of deciding the instance again.  On a frustrated
+instance the same solve names the frustrated components.  Code that needs
 one component's edges reads them from the instance's incident index, which
 is built once per instance.
 """
@@ -20,39 +21,35 @@ import qsat2.sweep
 from qsat2.cli import main
 from qsat2.counting import decomposition_value, instance_value
 from qsat2.instances import FactorDistribution, Instance, save_instance, satisfiable
-from qsat2.structure import decouple, frustration_certificate
+from qsat2.structure import decouple
 from qsat2.sweep import generate_instance, parse_config, run_sweep
 from qsat2.twosat import TwoSatEngine
+
+import oracles
 
 _MODULES = (qsat2, qsat2.graphs, qsat2.structure, qsat2.counting, qsat2.sweep, qsat2.cli)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count engine solves, component passes and state closures."""
-    seen = {"solve": 0, "components": 0, "state_reach": 0}
+    """Count engine solves and component passes."""
+    seen = {"solve": 0, "components": 0}
     solve = TwoSatEngine.solve
     components = qsat2.graphs.components
-    state_reach = qsat2.structure._state_reach
 
-    def counted_solve(self, want_witness=True):
+    def counted_solve(self):
         seen["solve"] += 1
-        return solve(self, want_witness)
+        return solve(self)
 
     def counted_components(g):
         seen["components"] += 1
         return components(g)
-
-    def counted_state_reach(inst):
-        seen["state_reach"] += 1
-        return state_reach(inst)
 
     monkeypatch.setattr(TwoSatEngine, "solve", counted_solve)
     # `from .graphs import components` copies the binding into each importer
     for mod in _MODULES:
         if getattr(mod, "components", None) is components:
             monkeypatch.setattr(mod, "components", counted_components)
-    monkeypatch.setattr(qsat2.structure, "_state_reach", counted_state_reach)
     return seen
 
 
@@ -63,8 +60,19 @@ def sat_instance():
     )
 
 
+@pytest.fixture
+def frustrated_instance():
+    # a frustrated giant component next to satisfiable trees
+    inst = generate_instance(
+        model="er", dist=FactorDistribution.uniform(2), seed=0, n=300, m=600
+    )
+    dec = decouple(inst)
+    assert dec.frustrated_components == (0,) and len(dec.report.components) > 1
+    return inst
+
+
 def _assert_single_pass(calls, per=1):
-    assert calls == {"solve": per, "components": per, "state_reach": 0}
+    assert calls == {"solve": per, "components": per}
 
 
 def test_decouple_solves_once(calls, sat_instance):
@@ -79,12 +87,18 @@ def test_instance_value_solves_once(calls, sat_instance):
 
 
 @pytest.mark.parametrize("command", ["count", "analyze"])
-def test_cli_solves_once(calls, sat_instance, tmp_path, capsys, command):
-    path = str(tmp_path / "sat.q2")
-    save_instance(sat_instance, path)
-    assert main([command, path]) == 0
-    capsys.readouterr()
-    _assert_single_pass(calls)
+def test_cli_solves_once(
+    calls, sat_instance, frustrated_instance, tmp_path, capsys, command
+):
+    for name, inst in (("sat", sat_instance), ("frustrated", frustrated_instance)):
+        calls.update(solve=0, components=0)
+        path = str(tmp_path / f"{name}.q2")
+        save_instance(inst, path)
+        assert main([command, path]) == 0
+        out = capsys.readouterr().out
+        frustrated = "VALUE 0 FRUSTRATED" in out or "GLOBAL frustrated=1" in out
+        assert frustrated == (name == "frustrated")
+        _assert_single_pass(calls)
 
 
 @pytest.mark.parametrize("value", ["on", "off"])
@@ -129,9 +143,10 @@ def test_decomposition_value_builds_incident_index_once(incident_builds, sat_ins
     assert incident_builds == [sat_instance]
 
 
-def test_frustration_certificate_builds_incident_index_once(incident_builds, monkeypatch):
-    # without loop explanations every component is decided from the index
-    monkeypatch.setattr(qsat2.structure, "vertex_options", lambda inst: {})
+def test_frustration_certificate_builds_no_incident_index(incident_builds, monkeypatch):
+    # without loop explanations the certificate reads the frustrated
+    # components of the one solve, which needs no incident index
+    monkeypatch.setattr(oracles, "vertex_options", lambda inst: {})
     for seed in range(20):
         inst = generate_instance(
             model="er", dist=FactorDistribution.uniform(4), seed=seed, n=60, m=60
@@ -140,5 +155,5 @@ def test_frustration_certificate_builds_incident_index_once(incident_builds, mon
             break
     else:
         pytest.skip("no frustrated sample found")
-    assert frustration_certificate(inst).kind == "twosat"
-    assert incident_builds == [inst]
+    assert oracles.frustration_certificate(inst).kind == "twosat"
+    assert incident_builds == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsat2.counting import RankBackendConfig, component_value, instance_value, kernel_basis
+from qsat2.counting import RankBackendConfig, component_value, instance_value
 from qsat2.graphs import (
     Graph,
     components,
@@ -17,14 +17,11 @@ from qsat2.graphs import (
 )
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
 from qsat2.structure import (
-    component_satisfiable,
     decouple,
     domino_frustrated,
     figure_eight_frustrated,
     fixed_states,
     frozen_subgraph,
-    frustration_certificate,
-    vertex_options,
 )
 
 from qsat2.seeding import derive_trial_seed
@@ -33,11 +30,16 @@ from qsat2.twosat import TwoSatEngine
 
 from oracles import (
     brute_force_backbone,
+    frustration_certificate,
+    kernel_basis,
     loop_seed_fixed_states,
     naive_vertex_options,
+    raw_instance_value,
     reference_backbone,
     reference_component_satisfiable,
     reference_decouple,
+    reference_frozen_subgraph,
+    vertex_options,
 )
 
 EXACT = RankBackendConfig(mode="exact_rational")
@@ -255,9 +257,7 @@ def test_decouple_value_preserved():
     for seed in range(25):
         g = sample_er_graph(12, 14, seed=seed)
         inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
-        assert instance_value(inst, use_decoupling=True) == instance_value(
-            inst, use_decoupling=False
-        )
+        assert instance_value(inst) == raw_instance_value(inst)
 
 
 # --- decomposition labels -----------------------------------------------------
@@ -349,9 +349,9 @@ def test_forest_never_reaches_the_solve(n, f, data):
     seen = []
     solve = TwoSatEngine.solve
 
-    def spy(self, want_witness=True):
+    def spy(self):
         seen.append(len(self.edges))
-        return solve(self, want_witness)
+        return solve(self)
 
     with mock.patch.object(TwoSatEngine, "solve", spy):
         dec = decouple(inst)
@@ -389,6 +389,40 @@ def test_frozen_subgraph_core():
     assert sub.core == (0, 1, 2, 3, 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_frozen_subgraph_matches_reference(model, f, cond, seed, data):
+    if model == "er":
+        n = data.draw(st.integers(1, 150))
+        kw = dict(n=n, m=data.draw(st.integers(0, min(3 * n, n * (n - 1) // 2))))
+    else:
+        kw = dict(L=data.draw(st.integers(2, 10)), p=data.draw(st.floats(0.0, 1.0)))
+    inst = generate_instance(
+        model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
+    )
+    dec = decouple(inst)
+    frozen = dec.frozen
+    assert frozen_subgraph(inst, frozen) == reference_frozen_subgraph(inst, frozen)
+    if frozen:
+        # dropping one frozen vertex leaves the set open wherever an arc
+        # reached it, and both report the same first escaping arc
+        drop = data.draw(st.sampled_from(sorted(frozen)))
+        opened = {v: s for v, s in frozen.items() if v != drop}
+        try:
+            want = reference_frozen_subgraph(inst, opened)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{e}$"):
+                frozen_subgraph(inst, opened)
+        else:
+            assert frozen_subgraph(inst, opened) == want
+
+
 def test_component_satisfiable_split():
     # a frustrated figure-eight next to one satisfiable edge
     a = [(0, 1), (0, 1), (1, 0)]
@@ -398,8 +432,11 @@ def test_component_satisfiable_split():
     lookup[(5, 6)] = (0, 0)
     inst = inst_of(7, edges, [lookup[e] for e in edges], 4)
     assert not satisfiable(inst)
-    assert not component_satisfiable(inst, (0, 1, 2, 3, 4))
-    assert component_satisfiable(inst, (5, 6))
+    dec = decouple(inst)
+    assert dec.report.components == ((0, 1, 2, 3, 4), (5, 6))
+    assert dec.frustrated_components == (0,)
+    assert not reference_component_satisfiable(inst, (0, 1, 2, 3, 4))
+    assert reference_component_satisfiable(inst, (5, 6))
     cert = frustration_certificate(inst)
     assert cert.kind == "loop" and cert.vertex == 0
 
@@ -416,24 +453,14 @@ def test_component_satisfiable_matches_full_scan(model, f, cond, seed):
     # several nontrivial components of which only some are frustrated
     kw = dict(n=60, m=60) if model == "er" else dict(L=8, p=0.6)
     inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
-    comps = components(inst.graph).components
-    verdicts = [component_satisfiable(inst, c) for c in comps]
+    dec = decouple(inst)
+    comps = dec.report.components
+    verdicts = [cid not in dec.frustrated_components for cid in range(len(comps))]
     assert verdicts == [reference_component_satisfiable(inst, c) for c in comps]
-    assert all(verdicts) == satisfiable(inst)
+    assert all(verdicts) == satisfiable(inst) == (dec.label != "frustrated")
 
 
 # --- small-subgraph frustration predicates -----------------------------------
-
-
-def _brute_force_subgraph_frustrated(inst, vertices):
-    sub_edges = [
-        (u, v, h, j) for u, v, h, j in inst.edge_tuples() if u in vertices and v in vertices
-    ]
-    from qsat2.twosat import solve_edges
-
-    local = {v: i for i, v in enumerate(sorted(vertices))}
-    remapped = [(local[u], local[v], h, j) for u, v, h, j in sub_edges]
-    return solve_edges(len(local), remapped, want_witness=False) is None
 
 
 def test_figure_eight_predicate_matches_solver():

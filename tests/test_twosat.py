@@ -4,9 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsat2.twosat import TwoSatEngine, solve_edges
+from qsat2.graphs import UnionFind
+from qsat2.twosat import TwoSatEngine
 
 from oracles import brute_force_kernel_assignment, reference_pinned_to, reference_solve
+
+
+def solve(n, edges):
+    return TwoSatEngine(n, edges).solve()
 
 
 @st.composite
@@ -34,13 +39,21 @@ def _assert_witness(states, edges):
 def test_solve_matches_brute_force(sys_):
     n, f, edges = sys_
     ref = brute_force_kernel_assignment(n, edges, f)
-    got = solve_edges(n, edges)
+    got, clashing = solve(n, edges)
     assert (got is not None) == (ref is not None)
-    assert (got is None) == (reference_solve(n, edges) is None)
-    assert (solve_edges(n, edges, want_witness=False) is None) == (got is None)
+    assert (got is None) == bool(clashing)
+    assert reference_solve(n, edges)[1] == clashing
     if got is not None:
         assert len(got) == n
         _assert_witness(got, edges)
+    # a component clashes exactly when its own edges are unsatisfiable
+    uf = UnionFind(n)
+    for u, v, _, _ in edges:
+        uf.union(u, v)
+    for root in {uf.find(v) for v in range(n)}:
+        own = [e for e in edges if uf.find(e[0]) == root]
+        unsat = brute_force_kernel_assignment(n, own, f) is None
+        assert unsat == any(uf.find(v) == root for v in clashing), root
 
 
 @st.composite
@@ -59,8 +72,9 @@ def larger_systems(draw):
 @given(larger_systems())
 def test_solve_matches_reference_solve(sys_):
     n, edges = sys_
-    got = solve_edges(n, edges)
-    ref = reference_solve(n, edges)
+    got, clashing = solve(n, edges)
+    ref, ref_clashing = reference_solve(n, edges)
+    assert clashing == ref_clashing
     assert (got is None) == (ref is None)
     if got is not None:
         _assert_witness(got, edges)
@@ -104,13 +118,13 @@ def test_queries_on_a_long_chain():
     eng = TwoSatEngine(n)
     for e in edges:
         eng.add_edge(*e)
-    assert solve_edges(n, edges) is not None
+    assert solve(n, edges)[0] is not None
 
     def forced(u, k):
         # unless u takes state k, these two edges need the fresh vertex n in
         # states 0 and 1 at once
         extra = [(u, n, k, 0), (u, n, k, 1)]
-        return solve_edges(n + 1, edges + extra, want_witness=False) is not None
+        return solve(n + 1, edges + extra)[0] is not None
 
     assert eng.feasible(0, 0) is False
     assert eng.pinned_to(0, 1) is True
@@ -138,7 +152,7 @@ def test_pinned_after_conflict_chain():
     # once, so vertex 0 is pinned
     assert eng.pinned_to(0, 0) is True
     assert eng.pinned_to(1, 0) is False
-    assert solve_edges(2, [(0, 1, 0, 0), (0, 1, 0, 1)]) is not None
+    assert solve(2, [(0, 1, 0, 0), (0, 1, 0, 1)])[0] is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,4 +196,4 @@ def test_freeze_rejects_contradiction():
 def test_solve_none_on_unsat():
     # two vertices, f=1: both edges demand the impossible pairing
     edges = [(0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]
-    assert solve_edges(2, edges) is None
+    assert solve(2, edges) == (None, [0, 1])
