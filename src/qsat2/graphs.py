@@ -1,22 +1,30 @@
 """Random graph models and the subgraph enumeration the analysis relies on.
 
 Two families are supported: Erdos-Renyi graphs with a fixed edge count, and
-bond-percolated square/cubic lattices.  Sampling is deterministic per seed;
-the Fisher-Yates steps are written out explicitly so the byte stream of
-random draws is pinned by this module rather than by library internals.
+bond-percolated square/cubic lattices.  Sampling is deterministic per seed,
+and the draws behind it are pinned by this package rather than by library
+internals:
+
+- sparse ER graphs read their endpoints from `seeding.randbelow_batches`,
+  the bulk form of successive `randrange(n)` calls;
+- dense ER graphs run a partial Fisher-Yates shuffle written out below, one
+  `randrange(i, npairs)` call per step;
+- lattices keep each bond on a `seeding.uniform01` coin, the bulk form of
+  successive `random()` calls, taken in `_lattice_edge_array` order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Iterator, Optional, Sequence
+from dataclasses import InitVar, dataclass, field
+from math import log1p
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+
+from .seeding import randbelow_batches, uniform01
 
 
 @dataclass(frozen=True)
@@ -27,24 +35,64 @@ class LatticeInfo:
     L: int
 
 
+def int_rows(items: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
+    """`items`, a sequence of `width`-tuples of ints, as a (len, width) array.
+
+    The array is int64 unless an entry does not fit, which gives an object
+    array of Python ints.
+    """
+    if not items:
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        rows = np.array(items)
+    except ValueError:  # ragged
+        rows = np.empty(0)
+    if rows.shape != (len(items), width):
+        raise ValueError(f"{what} must be {width}-tuples")
+    return rows
+
+
+def pair_tuples(rows: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """An (m, 2) array's rows as a tuple of Python int pairs; undoes `int_rows`."""
+    u, v = rows.T.tolist()
+    return tuple(zip(u, v))
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges canonical (u < v) and sorted."""
+    """Simple undirected graph; edges canonical (u < v) and sorted.
+
+    `edge_array` holds the edges as a read-only (m, 2) integer array in
+    `edges` order.  A sampler that built `edges` from such an array passes
+    it as `array`, and it becomes `edge_array` without a rebuild.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     lattice: Optional[LatticeInfo] = None
+    array: InitVar[Optional[np.ndarray]] = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, array: Optional[np.ndarray]) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
-        prev = None
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range or misordered")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError(f"edges not sorted and distinct at ({u},{v})")
-            prev = (u, v)
+        rows = int_rows(self.edges, 2, "edges") if array is None else array
+        m = len(rows)
+        u, v = rows.T
+        # the first edge out of range, and the first that does not follow its
+        # predecessor; a tie reports the range
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= self.n))
+        unsorted = np.flatnonzero((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1])))
+        i = int(bad[0]) if len(bad) else m
+        k = int(unsorted[0]) + 1 if len(unsorted) else m
+        if i < m and i <= k:
+            a, b = self.edges[i]
+            raise ValueError(f"edge ({a},{b}) out of range or misordered")
+        if k < m:
+            a, b = self.edges[k]
+            raise ValueError(f"edges not sorted and distinct at ({a},{b})")
+        rows.flags.writeable = False
+        object.__setattr__(self, "edge_array", rows)
 
     @property
     def m(self) -> int:
@@ -54,14 +102,6 @@ class Graph:
         if self.lattice is None:
             return "er"
         return f"lat{self.lattice.d}"
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) integer array, in `edges` order."""
-        flat = chain.from_iterable(self.edges)
-        arr = np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
 
 
 def adjacency(g: Graph) -> list[list[int]]:
@@ -85,32 +125,53 @@ def _shuffle_prefix(items: list, k: int, rng: random.Random) -> list:
     return items[:k]
 
 
+def _first_distinct_pairs(n: int, m: int, rng: random.Random) -> np.ndarray:
+    """The first m distinct canonical pairs of a `randrange(n)` stream, sorted.
+
+    The stream is read as (u, v) draws and a draw with u == v is skipped,
+    exactly as a hash-set loop drawing u then v would; needs 0 < m < n(n-1)/2.
+    """
+    npairs = n * (n - 1) // 2
+    # draws expected to reach m distinct pairs (coupon collection), with the
+    # u == v draws on top; randbelow_batches adds its own slack
+    draws = -npairs * log1p(-m / npairs) * n / (n - 1)
+    batches = randbelow_batches(rng, n, 2 * int(draws) + 2)
+    stream = next(batches)
+    while True:
+        half = len(stream) // 2
+        u, v = stream[0 : 2 * half : 2], stream[1 : 2 * half : 2]
+        keep = u != v
+        lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+        # past n = 3.04e9 a pair's code n * lo + hi leaves int64
+        wide = lo if n * n <= 2**63 else lo.astype(object)
+        codes, first = np.unique(wide * n + hi, return_index=True)
+        if len(codes) >= m:
+            break
+        stream = np.concatenate((stream, next(batches)))
+    # `codes` ascend, so the m pairs drawn first come out in sorted order
+    pick = first[first <= np.partition(first, m - 1)[m - 1]]
+    return np.column_stack((lo[pick], hi[pick]))
+
+
 def sample_er_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with n vertices and exactly m distinct edges.
 
-    Uses hash-set rejection while m is small relative to n^2 and falls back
-    to a partial shuffle of the materialised pair list when the requested
-    density would make rejection slow.
+    Keeps the first m distinct pairs of a random pair stream while m is small
+    relative to n^2 and falls back to a partial shuffle of the materialised
+    pair list when the requested density would make rejection slow.
     """
     npairs = n * (n - 1) // 2
     if m < 0 or m > npairs:
         raise ValueError(f"m={m} out of range for n={n}")
     rng = random.Random(seed)
+    if m == 0:
+        return Graph(n, ())
     if m <= n * n // 8:
-        chosen: set[tuple[int, int]] = set()
-        while len(chosen) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            if u > v:
-                u, v = v, u
-            chosen.add((u, v))
-        edges = tuple(sorted(chosen))
-    else:
-        allpairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = tuple(sorted(_shuffle_prefix(allpairs, m, rng)))
-    return Graph(n, edges)
+        rows = _first_distinct_pairs(n, m, rng)
+        # from n = 2**32 the draws are Python ints; Graph types them itself
+        return Graph(n, pair_tuples(rows), array=rows if rows.dtype == np.int64 else None)
+    allpairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, tuple(sorted(_shuffle_prefix(allpairs, m, rng))))
 
 
 def lattice_vertex(coord: Sequence[int], L: int) -> int:
@@ -128,15 +189,16 @@ def lattice_coord(vid: int, d: int, L: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _lattice_edges(d: int, L: int) -> Iterator[tuple[int, int]]:
-    # Row-major vertex order; for each vertex, its +1 neighbour per axis.
-    for vid in range(L**d):
-        coord = lattice_coord(vid, d, L)
-        for axis in range(d):
-            if coord[axis] + 1 < L:
-                nb = list(coord)
-                nb[axis] += 1
-                yield vid, lattice_vertex(nb, L)
+def _lattice_edge_array(d: int, L: int) -> np.ndarray:
+    """Every bond of the L^d lattice as (vertex, +1 neighbour) rows.
+
+    Rows run in row-major vertex order and, per vertex, in axis order.
+    """
+    vid = np.arange(L**d, dtype=np.int64)[:, None]
+    strides = L ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    inside = (vid // strides) % L + 1 < L
+    u = np.broadcast_to(vid, inside.shape)[inside]
+    return np.column_stack((u, (vid + strides)[inside]))
 
 
 def sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
@@ -148,11 +210,10 @@ def sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("bond probability must lie in [0, 1]")
     rng = random.Random(seed)
-    kept = []
-    for u, v in _lattice_edges(d, L):
-        if rng.random() < p:
-            kept.append((u, v) if u < v else (v, u))
-    return Graph(L**d, tuple(sorted(kept)), LatticeInfo(d, L))
+    bonds = _lattice_edge_array(d, L)
+    kept = bonds[uniform01(rng, len(bonds)) < p]
+    rows = kept[np.lexsort((kept[:, 1], kept[:, 0]))]
+    return Graph(L**d, pair_tuples(rows), LatticeInfo(d, L), rows)
 
 
 # ---------------------------------------------------------------------------

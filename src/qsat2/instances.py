@@ -10,10 +10,8 @@ until the growing instance stays satisfiable).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
@@ -21,7 +19,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import Graph, LatticeInfo, UnionFind
+from .graphs import Graph, LatticeInfo, UnionFind, int_rows, pair_tuples
+from .seeding import randbelow, randbelow_batches
 from .twosat import TwoSatEngine
 
 
@@ -108,8 +107,13 @@ class FactorDistribution:
     def f(self) -> int:
         return len(self.factors)
 
-    def sample(self, rng: random.Random) -> int:
-        return bisect_right(self._cum, rng.randrange(self._den))
+    def indices(self, draws: np.ndarray) -> np.ndarray:
+        """The factor indices that `randrange(den)` draws pick, exactly.
+
+        Inverse-CDF sampling: draw r picks `bisect_right(cum, r)`.
+        """
+        dtype = np.int64 if self._den.bit_length() <= 32 else object
+        return np.searchsorted(np.array(self._cum, dtype=dtype), draws, side="right")
 
     def norm_power(self, p: int) -> Fraction:
         """The p-norm raised to the p-th power, sum of q_i^p, exact."""
@@ -126,6 +130,12 @@ class Instance:
     `conditioning` records provenance: "any" for unconditional sampling,
     "free" for the frustration-free rejection sampler; `resamples` counts
     rejected factor pairs during conditioned generation.
+
+    `edge_array` holds the edges as a read-only (m, 4) integer array of
+    (u, v, h, j) rows in `graph.edges` order; deciding, freezing and
+    decoupling read the instance's edges there.  A sampler that built
+    `pairs` from such an array passes it as `array`, and it becomes
+    `edge_array` without a rebuild.
     """
 
     graph: Graph
@@ -134,16 +144,22 @@ class Instance:
     conditioning: str = "any"
     seed: int = 0
     resamples: int = 0
+    array: InitVar[Optional[np.ndarray]] = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, array: Optional[np.ndarray]) -> None:
         if len(self.pairs) != self.graph.m:
             raise ValueError("one factor pair per edge required")
-        f = self.dist.f
-        for h, j in self.pairs:
-            if not (0 <= h < f and 0 <= j < f):
-                raise ValueError("factor index out of range")
+        if array is None:
+            pairs = int_rows(self.pairs, 2, "factor pairs")
+            array = np.hstack((self.graph.edge_array, pairs))
+        factors = array[:, 2:]
+        if ((factors < 0) | (factors >= self.dist.f)).any():
+            raise ValueError("factor index out of range")
         if self.conditioning not in ("any", "free"):
             raise ValueError("conditioning must be 'any' or 'free'")
+        array.flags.writeable = False
+        object.__setattr__(self, "edge_array", array)
 
     @property
     def n(self) -> int:
@@ -170,25 +186,16 @@ class Instance:
             out[v].append((u, j, h))
         return tuple(map(tuple, out))
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (m, 4) integer array of (u, v, h, j) rows.
-
-        Rows follow `graph.edges` order.  Deciding, freezing and decoupling
-        read the instance's edges here, built once per instance.
-        """
-        flat = chain.from_iterable(self.pairs)
-        pairs = np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
-        arr = np.hstack((self.graph.edge_array, pairs))
-        arr.flags.writeable = False
-        return arr
-
 
 def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
-    """Attach i.i.d. factor pairs from q (x) q to every edge of g."""
+    """Attach i.i.d. factor pairs from q (x) q to every edge of g.
+
+    Edge i takes the draws 2i and 2i + 1 of one seeded stream as (h, j).
+    """
     rng = random.Random(seed)
-    pairs = tuple((dist.sample(rng), dist.sample(rng)) for _ in range(g.m))
-    return Instance(g, pairs, dist, "any", seed, 0)
+    pairs = dist.indices(randbelow(rng, dist._den, 2 * g.m)).reshape(-1, 2)
+    rows = np.hstack((g.edge_array, pairs))
+    return Instance(g, pair_tuples(pairs), dist, "any", seed, 0, rows)
 
 
 def satisfiable(inst: Instance) -> bool:
@@ -205,15 +212,23 @@ class ResampleBudgetError(RuntimeError):
         self.budget = budget
 
 
+def _index_stream(dist: FactorDistribution, rng: random.Random, count: int) -> Iterator[int]:
+    # refilled batches join into one draw stream, so no draw is skipped
+    for draws in randbelow_batches(rng, dist._den, count):
+        yield from dist.indices(draws).tolist()
+
+
 def sample_frustration_free_instance(
     g: Graph, dist: FactorDistribution, seed: int, budget: int = 10_000
 ) -> Instance:
     """Sample factors edge by edge, rejecting pairs that frustrate.
 
-    Edges are visited in a seed-determined random order; each edge's (h, j)
-    is drawn from q (x) q and redrawn while the partial instance would
-    become unsatisfiable.  The emitted instance always passes satisfiable().
-    Raises ResampleBudgetError if one edge rejects `budget` pairs in a row
+    Edges are visited in a seed-determined random order, a Fisher-Yates
+    shuffle with one `randrange` call per step; each edge's (h, j) is then
+    drawn from q (x) q, from one buffered stream of factor indices, and
+    redrawn while the partial instance would become unsatisfiable.  The
+    emitted instance always passes satisfiable().  Raises
+    ResampleBudgetError if one edge rejects `budget` pairs in a row
     (impossible when some satisfiable choice exists, which is always the
     case; the budget guards against defects, not bad luck).
     """
@@ -222,6 +237,7 @@ def sample_frustration_free_instance(
     for i in range(g.m - 1, 0, -1):  # Fisher-Yates, pinned to randrange draws
         k = rng.randrange(i + 1)
         order[i], order[k] = order[k], order[i]
+    draw = _index_stream(dist, rng, 2 * g.m).__next__
 
     eng = TwoSatEngine(g.n)
     frozen = eng.frozen
@@ -239,8 +255,8 @@ def sample_frustration_free_instance(
         u, v = g.edges[idx]
         rejected = 0
         while True:
-            h = dist.sample(rng)
-            j = dist.sample(rng)
+            h = draw()
+            j = draw()
             fu, fv = frozen[u], frozen[v]
             if fu == h or fv == j:
                 sat_u = sat_v = True

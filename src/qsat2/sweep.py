@@ -158,7 +158,7 @@ def generate_instance(
         inst = sample_frustration_free_instance(g, dist, fseed, budget)
     else:
         inst = sample_instance(g, dist, fseed)
-    return replace(inst, seed=seed)
+    return replace(inst, seed=seed, array=inst.edge_array)
 
 
 def analyze_instance(

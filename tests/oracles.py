@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here favors directness over speed: dense numpy tensors, brute
-force over all assignments, term-by-term series.  Tests compare package
+force over all assignments, draw-by-draw samplers, term-by-term series.  Tests compare package
 results against these.  The later sections hold code that only tests use:
 constraint composition along paths, kernel bases, product witnesses and the
 loop option sets behind frustration certificates.
@@ -10,6 +10,7 @@ loop option sets behind frustration certificates.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,7 +33,15 @@ from qsat2.counting import (
     product_tree,
 )
 from qsat2.exactq import GQ_ONE, BraState, GaussianRational
-from qsat2.graphs import ComponentReport, Graph, UnionFind, components
+from qsat2.graphs import (
+    ComponentReport,
+    Graph,
+    LatticeInfo,
+    UnionFind,
+    components,
+    lattice_coord,
+    lattice_vertex,
+)
 from qsat2.instances import FactorDistribution, Instance, satisfiable
 from qsat2.structure import Decomposition, FrozenSubgraph, component_cutoff, decouple
 from qsat2.twosat import TwoSatEngine
@@ -431,13 +440,85 @@ def brute_force_backbone(inst: Instance) -> Optional[dict[int, int]]:
     return {v: s for v, s in enumerate(common) if s is not None and s < f}
 
 
+def sample_factor(dist: FactorDistribution, rng: random.Random) -> int:
+    """One factor index by exact inverse-CDF sampling: one `randrange` draw."""
+    return bisect_right(dist._cum, rng.randrange(dist._den))
+
+
+def reference_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> Optional[str]:
+    """The message `Graph(n, edges)` raises, by a per-edge scan; None if valid."""
+    if n < 0:
+        return "negative vertex count"
+    prev = None
+    for u, v in edges:
+        if not (0 <= u < v < n):
+            return f"edge ({u},{v}) out of range or misordered"
+        if prev is not None and (u, v) <= prev:
+            return f"edges not sorted and distinct at ({u},{v})"
+        prev = (u, v)
+    return None
+
+
+def reference_sample_er_graph(n: int, m: int, seed: int) -> Graph:
+    """`graphs.sample_er_graph` draw by draw: a hash-set loop, or a shuffle."""
+    npairs = n * (n - 1) // 2
+    if m < 0 or m > npairs:
+        raise ValueError(f"m={m} out of range for n={n}")
+    rng = random.Random(seed)
+    if m <= n * n // 8:
+        chosen: set[tuple[int, int]] = set()
+        while len(chosen) < m:
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v:
+                continue
+            if u > v:
+                u, v = v, u
+            chosen.add((u, v))
+        return Graph(n, tuple(sorted(chosen)))
+    allpairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for i in range(m):
+        j = rng.randrange(i, npairs)
+        allpairs[i], allpairs[j] = allpairs[j], allpairs[i]
+    return Graph(n, tuple(sorted(allpairs[:m])))
+
+
+def reference_sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
+    """`instances.sample_instance` draw by draw, h then j per edge."""
+    rng = random.Random(seed)
+    pairs = tuple((sample_factor(dist, rng), sample_factor(dist, rng)) for _ in range(g.m))
+    return Instance(g, pairs, dist, "any", seed, 0)
+
+
+def _lattice_edges(d: int, L: int) -> Iterator[tuple[int, int]]:
+    # Row-major vertex order; for each vertex, its +1 neighbour per axis.
+    for vid in range(L**d):
+        coord = lattice_coord(vid, d, L)
+        for axis in range(d):
+            if coord[axis] + 1 < L:
+                nb = list(coord)
+                nb[axis] += 1
+                yield vid, lattice_vertex(nb, L)
+
+
+def reference_sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
+    """`graphs.sample_lattice` draw by draw: one `random()` coin per bond."""
+    rng = random.Random(seed)
+    kept = []
+    for u, v in _lattice_edges(d, L):
+        if rng.random() < p:
+            kept.append((u, v) if u < v else (v, u))
+    return Graph(L**d, tuple(sorted(kept)), LatticeInfo(d, L))
+
+
 def naive_frustration_free(
     g: Graph, dist: FactorDistribution, seed: int, budget: int = 10_000
 ) -> Instance:
     """Rejection sampling with a full solve per candidate pair.
 
     Mirrors the incremental sampler's randomness exactly (same shuffle, same
-    draws), so equal decisions imply equal output instances.
+    draws, here one `randrange` call each), so equal decisions imply equal
+    output instances.
     """
     rng = random.Random(seed)
     order = list(range(g.m))
@@ -451,8 +532,8 @@ def naive_frustration_free(
         u, v = g.edges[idx]
         rejected = 0
         while True:
-            h = dist.sample(rng)
-            j = dist.sample(rng)
+            h = sample_factor(dist, rng)
+            j = sample_factor(dist, rng)
             trial = chosen + [(u, v, h, j)]
             if TwoSatEngine(g.n, trial).solve()[0] is not None:
                 pairs[idx] = (h, j)

@@ -29,7 +29,14 @@ from qsat2.sweep import SweepConfig, generate_instance, run_sweep
 from qsat2.twosat import TwoSatEngine
 
 import conftest
-from oracles import BraConstraint, chain_constraint, kernel_basis, raw_instance_value, xi_series
+from oracles import (
+    BraConstraint,
+    chain_constraint,
+    kernel_basis,
+    raw_instance_value,
+    sample_factor,
+    xi_series,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -108,7 +115,9 @@ def test_criterion_02_chain_survival():
     alive = 0
     for _ in range(n_chains):
         cons = [
-            BraConstraint(i, i + 1, table[dist.sample(rng)], table[dist.sample(rng)])
+            BraConstraint(
+                i, i + 1, table[sample_factor(dist, rng)], table[sample_factor(dist, rng)]
+            )
             for i in range(6)
         ]
         if chain_constraint(cons) is not None:

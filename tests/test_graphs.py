@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,12 @@ from qsat2.graphs import (
     sample_lattice,
 )
 
-from oracles import reference_components
+from oracles import (
+    reference_components,
+    reference_edge_error,
+    reference_sample_er_graph,
+    reference_sample_lattice,
+)
 
 
 def test_graph_validates():
@@ -32,6 +38,105 @@ def test_graph_validates():
         Graph(3, ((0, 3),))
     with pytest.raises(ValueError):
         Graph(3, ((0, 1), (0, 1)))
+
+
+def _error(build):
+    try:
+        build()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, (), "negative vertex count"),
+        (3, ((0, 0),), "edge (0,0) out of range or misordered"),
+        (3, ((2, 1),), "edge (2,1) out of range or misordered"),
+        (3, ((0, 3),), "edge (0,3) out of range or misordered"),
+        (3, ((-1, 1),), "edge (-1,1) out of range or misordered"),
+        (3, ((0, 2**70),), f"edge (0,{2**70}) out of range or misordered"),
+        (3, ((0, 1), (0, 1)), "edges not sorted and distinct at (0,1)"),
+        (4, ((0, 2), (0, 1)), "edges not sorted and distinct at (0,1)"),
+        (4, ((1, 2), (0, 3)), "edges not sorted and distinct at (0,3)"),
+        # the first offending edge decides the message
+        (5, ((0, 1), (0, 1), (9, 9)), "edges not sorted and distinct at (0,1)"),
+        (5, ((1, 2), (0, 9), (0, 1)), "edge (0,9) out of range or misordered"),
+        (3, ((0, 1, 2),), "edges must be 2-tuples"),
+        (3, ((0, 1), (2,)), "edges must be 2-tuples"),
+    ],
+)
+def test_graph_validation_messages(n, edges, message):
+    assert _error(lambda: Graph(n, edges)) == message
+    if all(len(e) == 2 for e in edges):
+        assert reference_edge_error(n, edges) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-1, 6),
+    st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=6),
+    st.booleans(),
+)
+def test_graph_validation_matches_per_edge_scan(n, edges, tidy):
+    if tidy:  # mostly valid lists, so the sort check sees long valid prefixes
+        edges = sorted(set((min(e), max(e)) for e in edges))
+    assert _error(lambda: Graph(n, tuple(edges))) == reference_edge_error(n, edges)
+
+
+def test_graph_edge_array_is_read_only_int64():
+    g = Graph(4, ((0, 1), (1, 3)))
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    assert g.edge_array.tolist() == [[0, 1], [1, 3]]
+    assert Graph(2, ()).edge_array.shape == (0, 2)
+
+
+def _same_graph(g, ref):
+    assert g == ref
+    assert g.edge_array.dtype == ref.edge_array.dtype
+    assert np.array_equal(g.edge_array, ref.edge_array)
+    assert not g.edge_array.flags.writeable
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 60), st.data())
+def test_er_sampler_matches_draw_by_draw_reference(seed, n, data):
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    _same_graph(sample_er_graph(n, m, seed), reference_sample_er_graph(n, m, seed))
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 3), (7, 21), (12, 66), (40, 0)]
+    + [(n, n * n // 8) for n in (3, 8, 40, 41)]
+    + [(n, n * n // 8 + 1) for n in (3, 8, 40, 41)]
+    + [(4000, 5600), (2000, 500), (300, 20_000)],
+)
+def test_er_sampler_edge_cases_match_reference(n, m):
+    for seed in range(3):
+        _same_graph(sample_er_graph(n, m, seed), reference_sample_er_graph(n, m, seed))
+
+
+@pytest.mark.parametrize("n", [3_500_000_000, 2**32 + 5, 2**64 + 3])
+def test_er_sampler_huge_vertex_counts_match_reference(n):
+    # past n = 3.04e9 the pair codes leave int64; from 2**32 the draws fall
+    # back to one randrange call each; past 2**63 the edges leave int64
+    g = sample_er_graph(n, 4, 11)
+    ref = reference_sample_er_graph(n, 4, 11)
+    assert g == ref and g.edge_array.dtype == ref.edge_array.dtype
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([(2, 2), (2, 5), (2, 13), (3, 2), (3, 4), (3, 6)]),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_lattice_sampler_matches_draw_by_draw_reference(seed, shape, p):
+    d, L = shape
+    _same_graph(sample_lattice(d, L, p, seed), reference_sample_lattice(d, L, p, seed))
 
 
 def test_er_sampler_shape():

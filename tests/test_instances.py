@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsat2.exactq import bra
-from qsat2.graphs import sample_er_graph, sample_lattice
+from qsat2.graphs import Graph, sample_er_graph, sample_lattice
 from qsat2.instances import (
     FactorDistribution,
     Instance,
@@ -22,7 +23,13 @@ from qsat2.instances import (
     save_instance,
 )
 
-from oracles import naive_frustration_free, product_witness
+from oracles import (
+    naive_frustration_free,
+    product_witness,
+    reference_sample_er_graph,
+    reference_sample_instance,
+    sample_factor,
+)
 
 
 # --- factor distributions ---------------------------------------------------
@@ -73,7 +80,7 @@ def test_sampling_frequencies():
     n = 60_000
     counts = [0] * 3
     for _ in range(n):
-        counts[d.sample(rng)] += 1
+        counts[sample_factor(d, rng)] += 1
     for i, q in enumerate(d.q):
         mean = n * float(q)
         sd = (mean * (1 - float(q))) ** 0.5
@@ -113,18 +120,91 @@ def test_product_witness_satisfies():
             assert su == h or sv == j
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(5, 12))
-def test_conditioned_sampler_matches_full_resolve_reference(seed, f, n):
+# the kernel's bounds: 1, small, 2**32 - 1, and a denominator lcm above
+# 2**32 that falls back to one randrange call per draw
+SAMPLER_DISTS = [
+    FactorDistribution.uniform(1),
+    FactorDistribution.uniform(2),
+    FactorDistribution.uniform(3),
+    FactorDistribution.uniform(4),
+    FactorDistribution.from_weights([Fraction(5), Fraction(2), Fraction(1)]),
+    FactorDistribution.from_weights([Fraction(2**32 - 2), Fraction(1)]),
+    FactorDistribution.from_weights(
+        [Fraction(1, 1_000_003), Fraction(1, 1_000_033), Fraction(1, 1_000_037)]
+    ),
+]
+
+
+def test_sampler_dists_cover_the_kernel_bounds():
+    dens = [d._den for d in SAMPLER_DISTS]
+    assert 1 in dens and 2**32 - 1 in dens
+    assert max(dens).bit_length() > 32
+
+
+def _same_instance(inst, ref):
+    assert inst == ref
+    assert inst.edge_array.dtype == np.int64 and not inst.edge_array.flags.writeable
+    assert np.array_equal(inst.edge_array, ref.edge_array)
+    assert all(type(x) is int for p in inst.pairs for x in p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 40),
+    st.sampled_from(SAMPLER_DISTS),
+    st.sampled_from(["er", "lat2"]),
+    st.data(),
+)
+def test_sample_instance_matches_draw_by_draw_reference(seed, n, dist, model, data):
+    if model == "er":
+        g = sample_er_graph(n, data.draw(st.integers(0, n * (n - 1) // 2)), seed)
+    else:
+        g = sample_lattice(2, max(n // 4, 2), data.draw(st.floats(0.0, 1.0)), seed)
+    _same_instance(sample_instance(g, dist, seed + 1), reference_sample_instance(g, dist, seed + 1))
+
+
+def test_sample_instance_edge_cases_match_reference():
+    for n, m in [(0, 0), (1, 0), (2, 1), (40, 200), (40, 201), (4000, 5600)]:
+        g = reference_sample_er_graph(n, m, n + m)
+        for dist in SAMPLER_DISTS:
+            _same_instance(sample_instance(g, dist, 7), reference_sample_instance(g, dist, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(2, 4), st.sampled_from(["er", "lat2"]), st.data())
+def test_conditioned_sampler_matches_full_resolve_reference(seed, f, model, data):
     # the incremental feasibility cache must make exactly the same
-    # accept/reject decisions as a from-scratch solve per candidate
-    g = sample_er_graph(n, min(2 * n, n * (n - 1) // 2), seed=seed)
-    d = FactorDistribution.uniform(f)
-    fast = sample_frustration_free_instance(g, d, seed=seed)
-    ref = naive_frustration_free(g, d, seed=seed)
-    assert fast.pairs == ref.pairs
-    assert fast.resamples == ref.resamples
+    # accept/reject decisions as a from-scratch solve per candidate, and the
+    # buffered factor stream must give the draws one randrange call each would
+    if model == "er":
+        n = data.draw(st.integers(4, 12))
+        g = sample_er_graph(n, min(2 * n, n * (n - 1) // 2), seed)
+    else:
+        g = sample_lattice(2, data.draw(st.integers(2, 4)), data.draw(st.floats(0.5, 1.0)), seed)
+    dist = data.draw(st.sampled_from([FactorDistribution.uniform(f), *SAMPLER_DISTS[4:]]))
+    fast = sample_frustration_free_instance(g, dist, seed)
+    ref = naive_frustration_free(g, dist, seed)
+    _same_instance(fast, ref)
     assert satisfiable(fast)
+
+
+@pytest.mark.parametrize(
+    "pairs, kwargs, message",
+    [
+        (((0, 1),), {}, "one factor pair per edge required"),
+        (((0, 1), (1, 2)), {}, "factor index out of range"),
+        (((0, 1), (-1, 0)), {}, "factor index out of range"),
+        (((0, 1), (0, 2**70)), {}, "factor index out of range"),
+        (((0, 1), (1, 0)), {"conditioning": "some"}, "conditioning must be 'any' or 'free'"),
+        (((0, 1), (0, 1, 0)), {}, "factor pairs must be 2-tuples"),
+    ],
+)
+def test_instance_validation_messages(pairs, kwargs, message):
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError) as err:
+        Instance(g, pairs, FactorDistribution.uniform(2), **kwargs)
+    assert str(err.value) == message
 
 
 def test_conditioned_sampler_always_satisfiable():

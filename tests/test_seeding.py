@@ -1,14 +1,21 @@
+import random
+
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsat2 import seeding
 from qsat2.seeding import (
     FACTOR_STREAM,
     GRAPH_STREAM,
     MASK64,
     derive_trial_seed,
     mix64,
+    randbelow,
+    randbelow_batches,
     stream_seed,
+    uniform01,
 )
 
 u64 = st.integers(0, MASK64)
@@ -80,3 +87,60 @@ def test_stream_separation():
     seeds = [stream_seed(s, GRAPH_STREAM) for s in range(1000)]
     seeds += [stream_seed(s, FACTOR_STREAM) for s in range(1000)]
     assert len(set(seeds)) == 2000
+
+
+# --- the bulk draw kernel ---------------------------------------------------
+
+KERNEL_BOUNDS = [1, 2, 3, 2**5, 2**5 + 1, 2**16, 2**16 + 1, 2**31 + 1, 2**32 - 1]
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS + [2**32, 2**32 + 1, 3**40])
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_randbelow_matches_randrange(bound, count):
+    got = randbelow(random.Random(bound + count), bound, count)
+    rng = random.Random(bound + count)
+    assert got.tolist() == [rng.randrange(bound) for _ in range(count)]
+    assert got.dtype == (np.int64 if bound < 2**32 or count == 0 else object)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, MASK64), st.integers(1, 2**32 - 1), st.integers(0, 300))
+def test_randbelow_matches_randrange_any_bound(seed, bound, count):
+    rng = random.Random(seed)
+    assert randbelow(random.Random(seed), bound, count).tolist() == [
+        rng.randrange(bound) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("bound", [1, 3, 2**31 + 1, 2**32 + 1])
+def test_randbelow_batches_join_into_the_stream(bound):
+    # every refill continues where the last batch stopped, with no draw lost
+    batches = randbelow_batches(random.Random(5), bound, 10)
+    joined = np.concatenate([next(batches) for _ in range(12)]).tolist()
+    rng = random.Random(5)
+    assert len(joined) >= 120
+    assert joined == [rng.randrange(bound) for _ in joined]
+
+
+def test_randbelow_refills_a_short_batch(monkeypatch):
+    # batches sized for 1 value, asked for 400: hundreds of refills
+    sized = seeding.randbelow_batches
+    monkeypatch.setattr(seeding, "randbelow_batches", lambda rng, bound, _: sized(rng, bound, 1))
+    got = seeding.randbelow(random.Random(9), 3, 400)
+    rng = random.Random(9)
+    assert got.tolist() == [rng.randrange(3) for _ in range(400)]
+
+
+def test_randbelow_rejects_empty_range():
+    with pytest.raises(ValueError):
+        randbelow(random.Random(0), 0, 3)
+    # no draw, no error: zero randrange(0) calls raise nothing either
+    assert randbelow(random.Random(0), 0, 0).tolist() == []
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 999])
+def test_uniform01_matches_random(count):
+    got = uniform01(random.Random(count), count)
+    rng = random.Random(count)
+    assert got.dtype == np.float64
+    assert got.tolist() == [rng.random() for _ in range(count)]
