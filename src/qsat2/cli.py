@@ -21,7 +21,7 @@ from .instances import (
     save_instance,
 )
 from .stats import functionals, thresholds, xi
-from .structure import decouple
+from .structure import decouple, phase_label
 from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
 
 
@@ -84,12 +84,8 @@ def _cmd_analyze(args) -> int:
     for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
         if cid in frustrated_ids:
             label = "frustrated"
-        elif len(comp) <= dec.cutoff:
-            label = "highly_disconnected"
-        elif residual_in[cid] <= dec.cutoff:
-            label = "highly_decoupled"
         else:
-            label = "unclassified"
+            label = phase_label(len(comp), residual_in[cid], dec.cutoff)
         print(
             f"C {cid} size={len(comp)} class={cls} frozen={frozen_in[cid]} "
             f"residual_max={residual_in[cid]} label={label}"

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import Graph, LatticeInfo, UnionFind, int_rows, pair_tuples
+from .graphs import Graph, LatticeInfo, int_rows, pair_tuples
 from .seeding import randbelow, randbelow_batches
 from .twosat import TwoSatEngine
 
@@ -203,6 +203,9 @@ def satisfiable(inst: Instance) -> bool:
     return states is not None
 
 
+RESAMPLE_BUDGET = 10_000
+
+
 class ResampleBudgetError(RuntimeError):
     def __init__(self, u: int, v: int, budget: int):
         super().__init__(
@@ -218,9 +221,7 @@ def _index_stream(dist: FactorDistribution, rng: random.Random, count: int) -> I
         yield from dist.indices(draws).tolist()
 
 
-def sample_frustration_free_instance(
-    g: Graph, dist: FactorDistribution, seed: int, budget: int = 10_000
-) -> Instance:
+def sample_frustration_free_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
     """Sample factors edge by edge, rejecting pairs that frustrate.
 
     Edges are visited in a seed-determined random order, a Fisher-Yates
@@ -228,9 +229,20 @@ def sample_frustration_free_instance(
     drawn from q (x) q, from one buffered stream of factor indices, and
     redrawn while the partial instance would become unsatisfiable.  The
     emitted instance always passes satisfiable().  Raises
-    ResampleBudgetError if one edge rejects `budget` pairs in a row
+    ResampleBudgetError if one edge rejects RESAMPLE_BUDGET pairs in a row
     (impossible when some satisfiable choice exists, which is always the
     case; the budget guards against defects, not bad luck).
+
+    The partial instance is satisfiable, so the pair is acceptable exactly
+    when x[u,h] or x[v,j] is feasible, and each `feasible` query is one
+    closure.  The engine's frozen states are the one cache: when one side
+    is infeasible the other is entailed once the edge is in, and freezing
+    it keeps the cache closed under the closure's transition, so later
+    closures stop there.  Only entailed states are frozen, so the cache
+    shortens closures without changing an answer.  Tree components need no
+    shortcut: a freeze follows a clash, which needs a cycle, so a tree
+    component holds no frozen state, and a closure inside one never
+    conflicts (see `structure`); `feasible` answers True there by itself.
     """
     rng = random.Random(seed)
     order = list(range(g.m))
@@ -241,15 +253,8 @@ def sample_frustration_free_instance(
 
     eng = TwoSatEngine(g.n)
     frozen = eng.frozen
-    # union-find over added edges: feasibility is automatic on tree components
-    uf = UnionFind(g.n)
-    cyclic = [False] * g.n
-
     pairs: list[Optional[tuple[int, int]]] = [None] * g.m
     resamples = 0
-
-    def feasible_side(w: int, s: int) -> bool:
-        return not cyclic[uf.find(w)] or eng.feasible(w, s)
 
     for idx in order:
         u, v = g.edges[idx]
@@ -257,37 +262,22 @@ def sample_frustration_free_instance(
         while True:
             h = draw()
             j = draw()
-            fu, fv = frozen[u], frozen[v]
-            if fu == h or fv == j:
+            if frozen[u] == h or frozen[v] == j:
                 sat_u = sat_v = True
             else:
-                if fu is not None and fv is not None:
-                    sat_u = sat_v = False
-                else:
-                    sat_u = feasible_side(u, h)
-                    sat_v = feasible_side(v, j)
+                sat_u, sat_v = eng.feasible(u, h), eng.feasible(v, j)
                 if not (sat_u or sat_v):
                     rejected += 1
                     resamples += 1
-                    if rejected >= budget:
-                        raise ResampleBudgetError(u, v, budget)
+                    if rejected >= RESAMPLE_BUDGET:
+                        raise ResampleBudgetError(u, v, RESAMPLE_BUDGET)
                     continue
             pairs[idx] = (h, j)
             eng.add_edge(u, v, h, j)
-            ru, rv = uf.find(u), uf.find(v)
-            closed_cycle = not uf.union(ru, rv)
-            cyclic[uf.find(ru)] = closed_cycle or cyclic[ru] or cyclic[rv]
-            # cache entailed states: an infeasible side entails the other,
-            # and a closed cycle can pin its endpoints
-            if sat_u and not sat_v:
+            if not sat_v:
                 eng.freeze(u, h)
-            elif sat_v and not sat_u:
+            elif not sat_u:
                 eng.freeze(v, j)
-            elif closed_cycle and sat_u and sat_v:
-                if frozen[u] is None and eng.pinned_to(u, h):
-                    eng.freeze(u, h)
-                if frozen[v] is None and eng.pinned_to(v, j):
-                    eng.freeze(v, j)
             break
 
     return Instance(g, tuple(pairs), dist, "free", seed, resamples)

@@ -146,13 +146,26 @@ def component_cutoff(n: int, cutoff_c: float) -> int:
     return math.ceil(cutoff_c * math.log2(n)) if n > 1 else 1
 
 
+def phase_label(size: int, residual_max: int, cutoff: int) -> str:
+    """Label of a satisfiable graph, or of one of its components.
+
+    `size` is the vertex count of its largest component and `residual_max`
+    that of its largest residual component: highly_disconnected when `size`
+    is at most `cutoff`, highly_decoupled when `residual_max` is, and
+    unclassified otherwise.
+    """
+    if size <= cutoff:
+        return "highly_disconnected"
+    if residual_max <= cutoff:
+        return "highly_decoupled"
+    return "unclassified"
+
+
 def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     """Remove the frozen closure and classify what remains.
 
-    Labels: frustrated when unsatisfiable; highly_disconnected when the
-    original graph already has no component above the cutoff; highly
-    decoupled when removing frozen vertices brings every residual component
-    under it; unclassified otherwise.  Cutoff is ceil(c * log2 n).  The
+    The label is frustrated when the instance is unsatisfiable, and the
+    whole graph's `phase_label` otherwise.  Cutoff is ceil(c * log2 n).  The
     component report of the original graph rides along as `report`; on a
     frustrated instance `frustrated_components` names the components whose
     vertices clash in the one solve.
@@ -182,16 +195,10 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     else:
         residual = rep.components
     residual_max = max((len(c) for c in residual), default=0)
-    if rep.max_size <= cutoff:
-        label = "highly_disconnected"
-    elif residual_max <= cutoff:
-        label = "highly_decoupled"
-    else:
-        label = "unclassified"
     return Decomposition(
         frozen=frozen,
         residual_components=residual,
-        label=label,
+        label=phase_label(rep.max_size, residual_max, cutoff),
         cutoff=cutoff,
         residual_max=residual_max,
         report=rep,
@@ -203,47 +210,40 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
 # frustration predicates for enumerated subgraphs
 
 
-def edge_factor_map(inst: Instance) -> dict[tuple[int, int], tuple[int, int]]:
-    return {(u, v): (h, j) for u, v, h, j in inst.edge_tuples()}
-
-
-def _side(ef: dict, a: int, b: int) -> int:
+def _side(inst: Instance, a: int, b: int) -> int:
     """Factor index on a's side of edge (a, b)."""
-    if a < b:
-        return ef[(a, b)][0]
-    return ef[(b, a)][1]
+    for w, own, _ in inst.incident[a]:
+        if w == b:
+            return own
+    raise KeyError((a, b))
 
 
-def _path_chain(ef: dict, path: Sequence[int]) -> Optional[tuple[int, int]]:
+def _path_chain(inst: Instance, path: Sequence[int]) -> Optional[tuple[int, int]]:
     """End factors (h at path[0], j at path[-1]) if every junction survives."""
     for i in range(1, len(path) - 1):
-        if _side(ef, path[i], path[i - 1]) == _side(ef, path[i], path[i + 1]):
+        if _side(inst, path[i], path[i - 1]) == _side(inst, path[i], path[i + 1]):
             return None
-    return _side(ef, path[0], path[1]), _side(ef, path[-1], path[-2])
+    return _side(inst, path[0], path[1]), _side(inst, path[-1], path[-2])
 
 
-def figure_eight_frustrated(
-    inst: Instance, fig: FigureEight, ef: Optional[dict] = None
-) -> bool:
+def figure_eight_frustrated(inst: Instance, fig: FigureEight) -> bool:
     """Both cycles survive as loop constraints with disjoint option sets.
 
     Each cycle, read as a walk crux -> ... -> crux, must keep all interior
     junctions alive; it then pins the crux to one of its two end factors.
     Disjoint option pairs leave the crux no state at all.
     """
-    if ef is None:
-        ef = edge_factor_map(inst)
     options: list[set[int]] = []
     for cycle in (fig.cycle_a, fig.cycle_b):
         walk = cycle + (fig.crux,)
-        ends = _path_chain(ef, walk)
+        ends = _path_chain(inst, walk)
         if ends is None:
             return False
         options.append(set(ends))
     return options[0].isdisjoint(options[1])
 
 
-def domino_frustrated(inst: Instance, dom: Domino, ef: Optional[dict] = None) -> bool:
+def domino_frustrated(inst: Instance, dom: Domino) -> bool:
     """Three surviving chain constraints on the shared edge, jointly infeasible.
 
     The shared pair (b, e) faces three b-to-e chains: the shared edge and the
@@ -252,12 +252,10 @@ def domino_frustrated(inst: Instance, dom: Domino, ef: Optional[dict] = None) ->
     three e-end factors; then no kernel state at b or e can absorb two
     chains at once.
     """
-    if ef is None:
-        ef = edge_factor_map(inst)
     heads = []
     tails = []
     for path in dom.paths():
-        ends = _path_chain(ef, path)
+        ends = _path_chain(inst, path)
         if ends is None:
             return False
         heads.append(ends[0])

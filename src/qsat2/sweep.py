@@ -32,7 +32,6 @@ from .seeding import FACTOR_STREAM, GRAPH_STREAM, derive_trial_seed, stream_seed
 from .structure import (
     component_cutoff,
     decouple,
-    edge_factor_map,
     figure_eight_frustrated,
     frozen_subgraph,
 )
@@ -141,7 +140,6 @@ def generate_instance(
     L: int = 0,
     p: float = 0.0,
     cond: str = "any",
-    budget: int = 10_000,
 ) -> Instance:
     """Build graph and factors from one master seed via separate streams.
 
@@ -155,7 +153,7 @@ def generate_instance(
     else:
         g = sample_lattice(2 if model == "lat2" else 3, L, p, gseed)
     if cond == "free":
-        inst = sample_frustration_free_instance(g, dist, fseed, budget)
+        inst = sample_frustration_free_instance(g, dist, fseed)
     else:
         inst = sample_instance(g, dist, fseed)
     return replace(inst, seed=seed, array=inst.edge_array)
@@ -188,9 +186,8 @@ def analyze_instance(
         "value": "",
     }
     if want_fig8:
-        ef = edge_factor_map(inst)
         out["fig8_l3"] = sum(
-            figure_eight_frustrated(inst, fe, ef)
+            figure_eight_frustrated(inst, fe)
             for fe in enumerate_figure_eights(inst.graph, 3)
         )
     if want_value:

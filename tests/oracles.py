@@ -37,7 +37,6 @@ from qsat2.graphs import (
     ComponentReport,
     Graph,
     LatticeInfo,
-    UnionFind,
     components,
     lattice_coord,
     lattice_vertex,
@@ -671,6 +670,32 @@ def reference_solve(
         if order[labels[2 * i]] > order[labels[2 * i + 1]]:
             states[v] = s
     return states, []
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
 
 
 def reference_components(g: Graph) -> ComponentReport:

@@ -13,7 +13,7 @@ from qsat2.cli import main
 from qsat2.instances import FactorDistribution, load_instance, satisfiable, save_instance
 from qsat2.sweep import generate_instance
 
-from oracles import reference_component_satisfiable, reference_components
+from oracles import reference_component_satisfiable, reference_components, reference_decouple
 
 
 def run_cli(*args, capsys=None):
@@ -136,6 +136,48 @@ def test_analyze_frustrated_labels_match_reference(model, f, seed, data):
         assert ln[2] == f"size={len(comp)}"
         assert (ln[-1] == "label=frustrated") == (not reference_component_satisfiable(inst, comp))
     assert "GLOBAL frustrated=1 label=frustrated" in out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1.0, 1.5, 3.0]),
+    st.data(),
+)
+def test_analyze_component_lines_match_reference(model, f, cond, seed, c, data):
+    # small cutoffs against near-critical graphs give all three labels of a
+    # satisfiable instance, sometimes several in one file
+    if model == "er":
+        n = data.draw(st.integers(20, 120))
+        kw = dict(n=n, m=round(data.draw(st.floats(0.3, 2.5)) * n))
+    else:
+        kw = dict(L=data.draw(st.integers(6, 12)), p=data.draw(st.floats(0.4, 0.7)))
+    inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
+    assume(satisfiable(inst))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "i.q2")
+        save_instance(inst, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", path, "--cutoff-c", str(c)]) == 0
+    ref = reference_decouple(inst, c)
+    lines = [ln.split() for ln in out.getvalue().splitlines() if ln.startswith("C ")]
+    assert len(lines) == len(ref.report.components)
+    for ln, comp in zip(lines, ref.report.components):
+        members = set(comp)
+        frozen = sum(1 for v in ref.frozen if v in members)
+        residual_max = max((len(rc) for rc in ref.residual_components if rc[0] in members), default=0)
+        if len(comp) <= ref.cutoff:
+            label = "highly_disconnected"
+        elif residual_max <= ref.cutoff:
+            label = "highly_decoupled"
+        else:
+            label = "unclassified"
+        assert ln[4:] == [f"frozen={frozen}", f"residual_max={residual_max}", f"label={label}"]
+    assert f" label={ref.label} " in out.getvalue()
 
 
 def test_count_cap_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsat2 import instances
 from qsat2.exactq import bra
 from qsat2.graphs import Graph, sample_er_graph, sample_lattice
 from qsat2.instances import (
@@ -187,6 +188,41 @@ def test_conditioned_sampler_matches_full_resolve_reference(seed, f, model, data
     ref = naive_frustration_free(g, dist, seed)
     _same_instance(fast, ref)
     assert satisfiable(fast)
+
+
+@pytest.mark.parametrize(
+    "model, size, density, dist, seed",
+    [
+        ("er", 200, 1.5, FactorDistribution.uniform(3), 1),
+        ("er", 200, 2.0, FactorDistribution.uniform(2), 2),
+        ("er", 200, 2.0, FactorDistribution.uniform(3), 1),
+        ("er", 200, 2.5, FactorDistribution.uniform(4), 2),
+        ("er", 200, 2.5, SAMPLER_DISTS[4], 1),
+        ("lat2", 10, 0.6, FactorDistribution.uniform(3), 1),
+        ("lat2", 12, 0.6, FactorDistribution.uniform(4), 2),
+        ("lat2", 12, 0.6, FactorDistribution.uniform(2), 1),
+    ],
+)
+def test_conditioned_sampler_matches_reference_on_larger_instances(model, size, density, dist, seed):
+    # at these sizes most edges join a cyclic component, and the frozen
+    # states the sampler caches reach across many edges
+    if model == "er":
+        g = sample_er_graph(size, round(density * size), seed)
+    else:
+        g = sample_lattice(2, size, density, seed)
+    fast = sample_frustration_free_instance(g, dist, seed)
+    _same_instance(fast, naive_frustration_free(g, dist, seed))
+    assert satisfiable(fast)
+
+
+def test_resample_budget_guard_raises(monkeypatch):
+    # the guard cannot trip on a correct sampler; with a budget of one, the
+    # first rejected pair trips it
+    monkeypatch.setattr(instances, "RESAMPLE_BUDGET", 1)
+    g = sample_er_graph(200, 500, 2)
+    with pytest.raises(ResampleBudgetError) as err:
+        sample_frustration_free_instance(g, FactorDistribution.uniform(4), 2)
+    assert err.value.budget == 1
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsat2.graphs import UnionFind
 from qsat2.twosat import TwoSatEngine
 
-from oracles import brute_force_kernel_assignment, reference_pinned_to, reference_solve
+from oracles import UnionFind, brute_force_kernel_assignment, reference_pinned_to, reference_solve
 
 
 def solve(n, edges):
