@@ -12,17 +12,20 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .counting import ComponentCapError, RankBackendConfig, component_value, product_tree
 from .instances import (
     FactorDistribution,
     InstanceParseError,
     ResampleBudgetError,
+    format_instance,
     load_instance,
     save_instance,
 )
 from .stats import functionals, thresholds, xi
 from .structure import decouple, phase_label
-from .sweep import analyze_instance, generate_instance, parse_config, run_sweep
+from .sweep import _convert, analyze_instance, generate_instance, parse_config, run_sweep
 
 
 def _build_dist(f: Optional[int], q: str) -> FactorDistribution:
@@ -30,7 +33,7 @@ def _build_dist(f: Optional[int], q: str) -> FactorDistribution:
         if not f:
             raise ValueError("--q uniform requires --f")
         return FactorDistribution.uniform(f)
-    weights = [Fraction(tok) for tok in q.split(",")]
+    weights = [_convert("--q", Fraction, tok) for tok in q.split(",")]
     if f is not None and f != len(weights):
         raise ValueError("--f disagrees with the length of --q")
     return FactorDistribution.from_weights(weights)
@@ -50,8 +53,6 @@ def _cmd_gen(args) -> int:
     inst = generate_instance(
         model=args.model, dist=dist, seed=args.seed, cond=cond, **kwargs
     )
-    from .instances import format_instance
-
     if args.out:
         save_instance(inst, args.out)
     else:
@@ -61,20 +62,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.file)
-    meas = analyze_instance(inst, args.cutoff_c)
-    dec, rep = meas["decomposition"], meas["report"]
-    frustrated = meas["frustrated"]
-    comp_of = [0] * inst.n
-    for cid, comp in enumerate(rep.components):
-        for v in comp:
-            comp_of[v] = cid
-    frozen_in = [0] * len(rep.components)
-    for v in dec.frozen:
-        frozen_in[comp_of[v]] += 1
-    residual_in = [0] * len(rep.components)
-    for rc in dec.residual_components:
-        cid = comp_of[rc[0]]
-        residual_in[cid] = max(residual_in[cid], len(rc))
+    dec, core = analyze_instance(inst, args.cutoff_c)
+    rep, residual = dec.report, dec.residual_components
+    # per component of the graph: its frozen vertices and largest residual part
+    frozen_in = np.bincount(rep.labels[list(dec.frozen)], minlength=len(rep.components))
+    residual_in = np.zeros(len(rep.components), dtype=np.int64)
+    np.maximum.at(residual_in, rep.labels[[c[0] for c in residual]], [len(c) for c in residual])
+    frozen_in, residual_in = frozen_in.tolist(), residual_in.tolist()
     print(
         f"instance n={inst.n} m={inst.m} f={inst.dist.f} "
         f"model={inst.graph.model_tag()} cond={inst.conditioning}"
@@ -91,8 +85,8 @@ def _cmd_analyze(args) -> int:
             f"residual_max={residual_in[cid]} label={label}"
         )
     print(
-        f"GLOBAL frustrated={int(frustrated)} label={dec.label} "
-        f"frozen={len(dec.frozen)} frozen_core={meas['frozen_core']} "
+        f"GLOBAL frustrated={int(dec.label == 'frustrated')} label={dec.label} "
+        f"frozen={len(dec.frozen)} frozen_core={core} "
         f"max_comp={rep.max_size} residual_max={dec.residual_max}"
     )
     return 0

@@ -222,11 +222,14 @@ def sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """`labels` is a read-only int64 array: each vertex's index in `components`."""
+
     components: tuple[tuple[int, ...], ...]
     edge_counts: tuple[int, ...]
     classes: tuple[str, ...]
     max_size: int
     multicyclic_count: int
+    labels: np.ndarray = field(repr=False, compare=False)
 
 
 _CLASSES = ("tree", "unicyclic", "multicyclic")
@@ -264,16 +267,18 @@ def components(g: Graph) -> ComponentReport:
     Members ascend and components are ordered by their smallest vertex.
     """
     u, v = g.edge_array.T
-    comps, comp_of = vertex_components(g.n, u, v)
-    sizes = np.bincount(comp_of, minlength=len(comps))
-    counts = np.bincount(comp_of[u], minlength=len(comps))
+    comps, labels = vertex_components(g.n, u, v)
+    sizes = np.bincount(labels, minlength=len(comps))
+    counts = np.bincount(labels[u], minlength=len(comps))
     excess = np.minimum(counts - sizes + 1, 2)
+    labels.flags.writeable = False
     return ComponentReport(
         components=tuple(comps),
         edge_counts=tuple(counts.tolist()),
         classes=tuple(_CLASSES[e] for e in excess.tolist()),
         max_size=int(sizes.max(initial=0)),
         multicyclic_count=int(np.count_nonzero(excess == 2)),
+        labels=labels,
     )
 
 

@@ -70,11 +70,12 @@ def xi(rho: float) -> float:
     unique root in (0,1), found by bisection-safeguarded Newton with
     residual below 1e-12.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     if rho <= 0.5:
         return 2.0 * rho
-    y = 2.0 * rho * math.exp(-2.0 * rho)
+    # the same product as 2*rho*exp(-2*rho), without inf * 0 near the float max
+    y = math.exp(-2.0 * rho) * 2.0 * rho
     lo, hi = 0.0, 1.0
     x = min(y * math.e, 0.5)  # xi ~ y for small y
     for _ in range(200):
@@ -194,12 +195,16 @@ def thresholds(
 ) -> ThresholdReport:
     if model not in ("er", "lat2", "lat3"):
         raise ValueError(f"unknown model {model!r}")
+    if n is not None and n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if p is not None and not 0 <= p <= 1:
+        raise ValueError(f"p must be a probability in [0, 1], got {p!r}")
     fn = functionals(dist)
     frustrate = None if fn.q2 == 0 else 1 / (2 * fn.q2)
     cond = None
     if gamma is not None:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         cond = 2.0 * gamma * float(fn.qinf) - math.log(2.0 * gamma)
     p_c = {"er": None, "lat2": 0.5, "lat3": 0.24881}[model]
     p_fin = {"er": None, "lat2": 0.5, "lat3": None}[model]

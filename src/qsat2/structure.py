@@ -70,16 +70,13 @@ def _backbone(
     entailed state is frozen with its closure, so later probes stop early
     at frozen states.
     """
-    # the index in rep.components of each vertex of a cyclic component, else -1
-    comp_id = np.full(inst.n, -1, dtype=np.int64)
-    for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
-        if cls != "tree":
-            comp_id[list(comp)] = cid
+    # a component is cyclic when it has at least as many edges as vertices
+    cyclic = np.asarray(rep.edge_counts) >= np.bincount(rep.labels, minlength=len(rep.components))
     edges = inst.edge_array
-    eng = TwoSatEngine(inst.n, edges[comp_id[edges[:, 0]] >= 0])
+    eng = TwoSatEngine(inst.n, edges[cyclic[rep.labels[edges[:, 0]]]])
     witness, clashing = eng.solve()
     if witness is None:
-        return None, tuple(np.unique(comp_id[clashing]).tolist())
+        return None, tuple(np.unique(rep.labels[clashing]).tolist())
     probes = [(v, h) for v, h in enumerate(witness) if h is not None]
     if probes:
         # the probes walk cyclic components only, whose edges the index lists
@@ -174,35 +171,25 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     rep = components(g)
     cutoff = component_cutoff(g.n, cutoff_c)
     frozen, frustrated = _backbone(inst, rep)
-    if frozen is None:
-        return Decomposition(
-            frozen={},
-            residual_components=rep.components,
-            label="frustrated",
-            cutoff=cutoff,
-            residual_max=rep.max_size,
-            report=rep,
-            frustrated_components=frustrated,
-        )
+    # a frustrated instance freezes nothing and keeps the graph's components
+    residual, residual_max = rep.components, rep.max_size
     if frozen:
         alive = np.ones(g.n, dtype=bool)
         alive[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = False
         u, v = g.edge_array.T
         keep = alive[u] & alive[v]
         # frozen vertices keep no edge, so each is a component of its own
-        comps, _ = vertex_components(g.n, u[keep], v[keep])
+        comps, labels = vertex_components(g.n, u[keep], v[keep])
         residual = tuple(c for c in comps if c[0] not in frozen)
-    else:
-        residual = rep.components
-    residual_max = max((len(c) for c in residual), default=0)
+        residual_max = int(np.bincount(labels[alive]).max(initial=0))
     return Decomposition(
-        frozen=frozen,
+        frozen={} if frozen is None else frozen,
         residual_components=residual,
-        label=phase_label(rep.max_size, residual_max, cutoff),
+        label="frustrated" if frozen is None else phase_label(rep.max_size, residual_max, cutoff),
         cutoff=cutoff,
         residual_max=residual_max,
         report=rep,
-        frustrated_components=(),
+        frustrated_components=frustrated,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -30,17 +30,12 @@ from .instances import (
 )
 from .seeding import FACTOR_STREAM, GRAPH_STREAM, derive_trial_seed, stream_seed
 from .structure import (
+    Decomposition,
     component_cutoff,
     decouple,
     figure_eight_frustrated,
     frozen_subgraph,
 )
-
-CSV_HEADER = (
-    "grid,trial,seed,n,m,frustrated,max_comp,multicyclic,frozen_core,"
-    "residual_max,label,fig8_l3,dominoes,value,resamples,ms"
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -110,25 +105,22 @@ class TrialRecord:
     ms: int = 0
 
     def row(self) -> str:
-        cells = [
-            repr(self.grid),
-            str(self.trial),
-            str(self.seed),
-            str(self.n),
-            str(self.m),
-            "" if self.frustrated is None else str(int(self.frustrated)),
-            str(self.max_comp),
-            str(self.multicyclic),
-            str(self.frozen_core),
-            str(self.residual_max),
-            self.label,
-            "" if self.fig8_l3 is None else str(self.fig8_l3),
-            "" if self.dominoes is None else str(self.dominoes),
-            self.value,
-            str(self.resamples),
-            str(self.ms),
-        ]
-        return ",".join(cells)
+        return ",".join(_cell(getattr(self, f.name)) for f in fields(self))
+
+
+def _cell(value) -> str:
+    """One CSV cell: None empty, a bool 0/1, a float its repr, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+COLUMNS = tuple(f.name for f in fields(TrialRecord))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def generate_instance(
@@ -159,44 +151,16 @@ def generate_instance(
     return replace(inst, seed=seed, array=inst.edge_array)
 
 
-def analyze_instance(
-    inst: Instance,
-    cutoff_c: float = 3.0,
-    max_component_qubits: int = 16,
-    want_fig8: bool = False,
-    want_value: bool = False,
-) -> dict:
-    """Measurements backing one sweep row (and the analyze CLI)."""
+def analyze_instance(inst: Instance, cutoff_c: float = 3.0) -> tuple[Decomposition, int]:
+    """The analysis pass behind one sweep row and `qsat2 analyze`.
+
+    Returns the instance's `Decomposition` (its component report, with the
+    per-vertex component labels, rides along as `report`) and the size of
+    its frozen core, 0 when nothing is frozen.
+    """
     dec = decouple(inst, cutoff_c)
-    rep = dec.report
-    frustrated = dec.label == "frustrated"
-    core = 0
-    if not frustrated and dec.frozen:
-        core = len(frozen_subgraph(inst, dec.frozen).core)
-    out = {
-        "frustrated": frustrated,
-        "max_comp": rep.max_size,
-        "multicyclic": rep.multicyclic_count,
-        "frozen_core": core,
-        "residual_max": dec.residual_max,
-        "label": dec.label,
-        "decomposition": dec,
-        "report": rep,
-        "fig8_l3": None,
-        "value": "",
-    }
-    if want_fig8:
-        out["fig8_l3"] = sum(
-            figure_eight_frustrated(inst, fe)
-            for fe in enumerate_figure_eights(inst.graph, 3)
-        )
-    if want_value:
-        cfg = RankBackendConfig(max_component_qubits=max_component_qubits)
-        try:
-            out["value"] = str(decomposition_value(inst, dec, cfg))
-        except ComponentCapError as e:
-            out["value"] = f"NA:{e.size}"
-    return out
+    core = len(frozen_subgraph(inst, dec.frozen).core) if dec.frozen else 0
+    return dec, core
 
 
 def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
@@ -213,16 +177,19 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
     except ResampleBudgetError:
         n = cfg.n if cfg.model == "er" else cfg.L ** (2 if cfg.model == "lat2" else 3)
         return TrialRecord(gv, ti, tseed, n, 0, label="error:resample_budget")
-    meas = analyze_instance(
-        inst,
-        cutoff_c=cfg.cutoff_c,
-        max_component_qubits=cfg.max_component_qubits,
-        want_fig8=cfg.fig8_l3,
-        want_value=cfg.value,
-    )
-    dominoes = None
+    dec, core = analyze_instance(inst, cfg.cutoff_c)
+    fig8 = dominoes = None
+    if cfg.fig8_l3:
+        fig8 = sum(figure_eight_frustrated(inst, e) for e in enumerate_figure_eights(inst.graph, 3))
     if inst.graph.lattice is not None:
         dominoes = len(enumerate_dominoes(inst.graph))
+    value = ""
+    if cfg.value:
+        rank_cfg = RankBackendConfig(max_component_qubits=cfg.max_component_qubits)
+        try:
+            value = str(decomposition_value(inst, dec, rank_cfg))
+        except ComponentCapError as e:
+            value = f"NA:{e.size}"
     ms = int(1000 * (time.perf_counter() - t0)) if cfg.timing else 0
     return TrialRecord(
         grid=gv,
@@ -230,15 +197,15 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         seed=tseed,
         n=inst.n,
         m=inst.m,
-        frustrated=meas["frustrated"],
-        max_comp=meas["max_comp"],
-        multicyclic=meas["multicyclic"],
-        frozen_core=meas["frozen_core"],
-        residual_max=meas["residual_max"],
-        label=meas["label"],
-        fig8_l3=meas["fig8_l3"],
+        frustrated=dec.label == "frustrated",
+        max_comp=dec.report.max_size,
+        multicyclic=dec.report.multicyclic_count,
+        frozen_core=core,
+        residual_max=dec.residual_max,
+        label=dec.label,
+        fig8_l3=fig8,
         dominoes=dominoes,
-        value=meas["value"],
+        value=value,
         resamples=inst.resamples,
         ms=ms,
     )
@@ -246,17 +213,15 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
 
 def _summary_row(gv: float, recs: list[TrialRecord]) -> str:
     done = [r for r in recs if not r.label.startswith("error:")]
-    cells = [""] * 16
-    cells[0] = repr(gv)
-    cells[1] = "summary"
+    cells = dict.fromkeys(COLUMNS, "")
+    cells.update(grid=repr(gv), trial="summary")
     if done:
-        n = done[0].n
-        cells[3] = str(n)
-        cells[5] = f"{sum(r.frustrated for r in done) / len(done):.6f}"
-        cells[6] = f"{sum(r.max_comp for r in done) / len(done):.6f}"
+        cells["n"] = str(done[0].n)
+        cells["frustrated"] = f"{sum(r.frustrated for r in done) / len(done):.6f}"
+        cells["max_comp"] = f"{sum(r.max_comp for r in done) / len(done):.6f}"
         core = sum(Fraction(r.frozen_core, r.n) for r in done) / len(done)
-        cells[8] = f"{float(core):.6f}"
-    return ",".join(cells)
+        cells["frozen_core"] = f"{float(core):.6f}"
+    return ",".join(cells.values())
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> str:
@@ -276,12 +241,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> str:
 # config files: plain key=value lines, # comments
 
 
-def _convert(key: str, kind, text: str):
-    """`kind(text)`, or a ValueError that names the config key and the text."""
+def _convert(name: str, kind, text: str):
+    """`kind(text)`, or a ValueError that names the setting and the text."""
     try:
         return kind(text)
     except (ValueError, ZeroDivisionError):
-        msg = f"config key {key!r} takes {kind.__name__} values, not {text.strip()!r}"
+        msg = f"{name} takes {kind.__name__} values, not {text.strip()!r}"
         raise ValueError(msg) from None
 
 
@@ -311,11 +276,13 @@ def parse_config(text: str) -> SweepConfig:
         return _BOOL[val]
 
     def number(key: str, kind, default: str):
-        return _convert(key, kind, take(key, default))
+        return _convert(f"config key {key!r}", kind, take(key, default))
 
     model = take("model", "er")
     grid = tuple(
-        _convert("grid", float, tok) for tok in (take("grid") or "").split(",") if tok.strip()
+        _convert("config key 'grid'", float, tok)
+        for tok in (take("grid") or "").split(",")
+        if tok.strip()
     )
     trials = number("trials", int, "1")
     seed = number("seed", int, "0")
@@ -323,9 +290,9 @@ def parse_config(text: str) -> SweepConfig:
     if qspec == "uniform":
         dist = FactorDistribution.uniform(number("f", int, "0"))
     else:
-        weights = [_convert("q", Fraction, tok) for tok in qspec.split(",")]
+        weights = [_convert("config key 'q'", Fraction, tok) for tok in qspec.split(",")]
         fspec = take("f")
-        if fspec is not None and _convert("f", int, fspec) != len(weights):
+        if fspec is not None and _convert("config key 'f'", int, fspec) != len(weights):
             raise ValueError(
                 f"config key 'f' is {fspec.strip()}, but q lists {len(weights)} weights"
             )

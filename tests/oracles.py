@@ -711,6 +711,9 @@ def reference_components(g: Graph) -> ComponentReport:
         ecount[uf.find(u)] += 1
     comps = sorted(members.values())
     counts = tuple(ecount[uf.find(c[0])] for c in comps)
+    labels = np.empty(g.n, dtype=np.int64)
+    for cid, comp in enumerate(comps):
+        labels[comp] = cid
     classes = []
     for comp, ec in zip(comps, counts):
         excess = ec - len(comp) + 1
@@ -721,6 +724,7 @@ def reference_components(g: Graph) -> ComponentReport:
         classes=tuple(classes),
         max_size=max((len(c) for c in comps), default=0),
         multicyclic_count=sum(1 for c in classes if c == "multicyclic"),
+        labels=labels,
     )
 
 

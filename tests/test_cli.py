@@ -226,6 +226,37 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # uniform without --f
 
 
+@pytest.mark.parametrize("cmd", [["gen", "--n", "10", "--m", "5"], ["predict"]])
+@pytest.mark.parametrize("q, bad", [("1/0,1", "'1/0'"), ("1,abc", "'abc'")])
+def test_bad_q_exits_2_and_names_the_option(capsys, cmd, q, bad):
+    code, out, err = run_cli(*cmd, "--q", q, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "--q" in err and bad in err
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["--n", "0"], "n must"),
+        (["--n", "-8"], "n must"),
+        (["--p", "2"], "p must"),
+        (["--p", "-1"], "p must"),
+        (["--gamma", "nan"], "gamma must"),
+    ],
+)
+def test_predict_out_of_domain_exits_2(capsys, args, what):
+    code, out, err = run_cli("predict", "--f", "2", "--model", "lat2", *args, capsys=capsys)
+    assert code == 2 and out == ""
+    assert what in err
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_xi_non_finite_exits_2(capsys, rho):
+    code, out, err = run_cli("xi", rho, capsys=capsys)
+    assert code == 2 and out == ""
+    assert "rho" in err
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.q2"
     bad.write_text("QSAT2 v1\nnot a header\n")

@@ -258,16 +258,21 @@ def test_components_match_union_find_reference(model, seed, data):
     else:
         g = sample_lattice(2, data.draw(st.integers(2, 9)), data.draw(st.floats(0.0, 1.0)), seed)
     rep = components(g)
-    assert rep == reference_components(g)
+    ref = reference_components(g)
+    assert rep == ref
+    assert np.array_equal(rep.labels, ref.labels)
+    assert rep.labels.dtype == np.int64 and not rep.labels.flags.writeable
     ints = [v for comp in rep.components for v in comp] + list(rep.edge_counts)
     assert all(type(x) is int for x in ints + [rep.max_size, rep.multicyclic_count])
 
 
 def test_components_of_empty_and_edgeless_graphs():
     assert components(Graph(0, ())) == reference_components(Graph(0, ()))
+    assert components(Graph(0, ())).labels.shape == (0,)
     rep = components(Graph(3, ()))
     assert rep.components == ((0,), (1,), (2,)) and rep.classes == ("tree",) * 3
     assert rep == reference_components(Graph(3, ()))
+    assert rep.labels.tolist() == [0, 1, 2]
 
 
 def complete_graph(n):

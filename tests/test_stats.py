@@ -88,8 +88,10 @@ def test_xi_basic_shape():
     assert xi(0.0) == 0.0
     assert xi(0.25) == 0.5
     assert xi(0.5) == 1.0
-    with pytest.raises(ValueError):
-        xi(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            xi(bad)
+    assert xi(1e308) == 0.0  # 2*rho overflows, exp(-2*rho) is already 0
     assert 0 < xi(0.8) < 1
     assert xi(3.0) < xi(1.0)
 
@@ -234,6 +236,24 @@ def test_thresholds_lattice():
     rep3 = thresholds(d, model="lat3", p=0.3)
     assert rep3.p_c == pytest.approx(0.24881)
     assert rep3.p_fin is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=0),
+        dict(n=-8),
+        dict(p=2.0),
+        dict(p=-1.0),
+        dict(p=math.nan),
+        dict(gamma=math.nan),
+        dict(gamma=math.inf),
+        dict(gamma=0.0),
+    ],
+)
+def test_thresholds_reject_values_outside_their_domain(kwargs):
+    with pytest.raises(ValueError):
+        thresholds(FactorDistribution.uniform(2), model="lat2", **kwargs)
 
 
 def test_threshold_scaling_markers():

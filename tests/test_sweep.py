@@ -107,6 +107,21 @@ def test_csv_shape_and_summary():
         assert srow[8] == f"{mean_core:.6f}"
 
 
+def test_csv_header_is_pinned():
+    # perfbench and the README spell the header out; it must not drift
+    assert CSV_HEADER == (
+        "grid,trial,seed,n,m,frustrated,max_comp,multicyclic,frozen_core,"
+        "residual_max,label,fig8_l3,dominoes,value,resamples,ms"
+    )
+
+
+def test_row_cells_follow_one_rule():
+    rec = sweep_mod.TrialRecord(0.1, 2, 3, 4, 5, frustrated=True, fig8_l3=0, value="NA:17")
+    assert rec.row() == "0.1,2,3,4,5,1,0,0,0,0,,0,,NA:17,0,0"
+    err = sweep_mod.TrialRecord(1e-05, 0, 9, 16, 0, label="error:resample_budget")
+    assert err.row() == "1e-05,0,9,16,0,,0,0,0,0,error:resample_budget,,,,0,0"
+
+
 def test_csv_thread_count_invariant():
     cfg = parse_config(BASE_CFG)
     assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=4)
@@ -119,10 +134,13 @@ def test_rows_reproducible_from_seed_column():
     seed, n, m = int(row[2]), int(row[3]), int(row[4])
     assert seed == derive_trial_seed(77, 0, 0)
     inst = generate_instance(model="er", dist=cfg.dist, seed=seed, n=n, m=m)
-    meas = sweep_mod.analyze_instance(inst, cfg.cutoff_c, cfg.max_component_qubits, False, False)
-    assert str(int(meas["frustrated"])) == row[5]
-    assert str(meas["max_comp"]) == row[6]
-    assert meas["label"] == row[10]
+    dec, core = sweep_mod.analyze_instance(inst, cfg.cutoff_c)
+    assert str(int(dec.label == "frustrated")) == row[5]
+    assert str(dec.report.max_size) == row[6]
+    assert str(dec.report.multicyclic_count) == row[7]
+    assert str(core) == row[8]
+    assert str(dec.residual_max) == row[9]
+    assert dec.label == row[10]
 
 
 def test_error_rows_skipped_in_summary():
