@@ -145,6 +145,8 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, not {args.threads}")
     with open(args.config, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     csv = run_sweep(cfg, threads=args.threads)

@@ -328,7 +328,21 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
+def _edge_rows(lines: Sequence[str]) -> Iterator[tuple[int, int, int, int]]:
+    """Each `E u v h j` line as (u, v, h - 1, j - 1); only the shape is checked."""
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != 5 or parts[0] != "E":
+            raise InstanceParseError(f"bad edge line {ln!r}")
+        try:
+            u, v, h, j = map(int, parts[1:])
+        except ValueError:
+            raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+        yield u, v, h - 1, j - 1
+
+
 def parse_instance(text: str) -> Instance:
+    """Read the text form; `Graph` and `Instance` check the edges and factors."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_MAGIC:
         raise InstanceParseError(f"expected leading {FORMAT_MAGIC!r} line")
@@ -340,6 +354,9 @@ def parse_instance(text: str) -> Instance:
         seed, resamples = int(hdr["seed"]), int(hdr["resamples"])
     except ValueError as e:
         raise InstanceParseError(f"non-integer header field: {e}") from None
+    for key, count in (("n", n), ("m", m), ("f", f)):
+        if count < 0:
+            raise InstanceParseError(f"negative count {key}={count}")
     model, cond = hdr["model"], hdr["cond"]
     if model not in ("er", "lat2", "lat3"):
         raise InstanceParseError(f"unknown model {model!r}")
@@ -371,27 +388,10 @@ def parse_instance(text: str) -> Instance:
         except (ValueError, ZeroDivisionError) as e:
             raise InstanceParseError(f"bad weight in {ln!r}: {e}") from None
 
-    edges: list[tuple[int, int]] = []
-    pairs: list[tuple[int, int]] = []
-    for i in range(m):
-        ln = body[2 * f + i]
-        parts = ln.split()
-        if len(parts) != 5 or parts[0] != "E":
-            raise InstanceParseError(f"bad edge line {ln!r}")
-        try:
-            u, v, h, j = (int(x) for x in parts[1:])
-        except ValueError:
-            raise InstanceParseError(f"non-integer edge line {ln!r}") from None
-        if not (0 <= u < v < n):
-            raise InstanceParseError(f"edge ({u},{v}) out of range or misordered")
-        if not (1 <= h <= f and 1 <= j <= f):
-            raise InstanceParseError(f"factor index out of range in {ln!r}")
-        edges.append((u, v))
-        pairs.append((h - 1, j - 1))
-    if edges != sorted(edges):
-        raise InstanceParseError("edge lines must be sorted")
-    if len(set(edges)) != len(edges):
-        raise InstanceParseError("duplicate edge")
+    try:
+        rows = np.fromiter(_edge_rows(body[2 * f :]), np.dtype((np.int64, 4)), m)
+    except OverflowError:
+        raise InstanceParseError("edge line field does not fit in int64") from None
 
     lattice = None
     if model != "er":
@@ -404,8 +404,8 @@ def parse_instance(text: str) -> Instance:
 
     try:
         dist = FactorDistribution(tuple(factors), tuple(weights))
-        graph = Graph(n, tuple(edges), lattice)
-        return Instance(graph, tuple(pairs), dist, cond, seed, resamples)
+        graph = Graph(n, pair_tuples(rows[:, :2]), lattice, rows[:, :2])
+        return Instance(graph, pair_tuples(rows[:, 2:]), dist, cond, seed, resamples, rows)
     except ValueError as e:
         raise InstanceParseError(str(e)) from None
 

@@ -8,7 +8,6 @@ CSV is byte-identical across runs and thread settings.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -51,7 +50,6 @@ class SweepConfig:
     max_component_qubits: int = 16
     fig8_l3: bool = False
     value: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         if self.model not in ("er", "lat2", "lat3"):
@@ -102,7 +100,7 @@ class TrialRecord:
     dominoes: Optional[int] = None
     value: str = ""
     resamples: int = 0
-    ms: int = 0
+    ms: int = 0  # always 0; the column keeps the CSV layout fixed
 
     def row(self) -> str:
         return ",".join(_cell(getattr(self, f.name)) for f in fields(self))
@@ -166,7 +164,6 @@ def analyze_instance(inst: Instance, cutoff_c: float = 3.0) -> tuple[Decompositi
 def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
     tseed = derive_trial_seed(cfg.seed, gi, ti)
     gv = cfg.grid[gi]
-    t0 = time.perf_counter()
     kwargs = dict(model=cfg.model, dist=cfg.dist, seed=tseed, cond=cfg.cond)
     if cfg.model == "er":
         kwargs.update(n=cfg.n, m=round(gv * cfg.n))
@@ -190,7 +187,6 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
             value = str(decomposition_value(inst, dec, rank_cfg))
         except ComponentCapError as e:
             value = f"NA:{e.size}"
-    ms = int(1000 * (time.perf_counter() - t0)) if cfg.timing else 0
     return TrialRecord(
         grid=gv,
         trial=ti,
@@ -207,7 +203,6 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         dominoes=dominoes,
         value=value,
         resamples=inst.resamples,
-        ms=ms,
     )
 
 
@@ -225,8 +220,10 @@ def _summary_row(gv: float, recs: list[TrialRecord]) -> str:
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> str:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
     tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
-    if threads <= 1:
+    if threads == 1:
         recs = [_run_trial(cfg, gi, ti) for gi, ti in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -313,7 +310,6 @@ def parse_config(text: str) -> SweepConfig:
         max_component_qubits=number("max_component_qubits", int, "16"),
         fig8_l3=flag("fig8_l3"),
         value=flag("value"),
-        timing=flag("timing"),
     )
     if kv:
         raise ValueError(f"unknown config keys: {', '.join(sorted(kv))}")

@@ -226,6 +226,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # uniform without --f
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_threads_below_1_exits_2_before_reading_the_config(tmp_path, capsys, threads):
+    # the config does not exist: reading it first would exit 3
+    missing, out = str(tmp_path / "missing.cfg"), tmp_path / "s.csv"
+    code, _, err = run_cli(
+        "sweep", "--config", missing, "--out", str(out), "--threads", threads, capsys=capsys
+    )
+    assert code == 2 and "--threads" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", [["gen", "--n", "10", "--m", "5"], ["predict"]])
 @pytest.mark.parametrize("q, bad", [("1/0,1", "'1/0'"), ("1,abc", "'abc'")])
 def test_bad_q_exits_2_and_names_the_option(capsys, cmd, q, bad):

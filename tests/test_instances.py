@@ -27,6 +27,7 @@ from qsat2.instances import (
 from oracles import (
     naive_frustration_free,
     product_witness,
+    reference_edge_error,
     reference_sample_er_graph,
     reference_sample_instance,
     sample_factor,
@@ -261,6 +262,14 @@ def test_resample_budget_error_fields():
 # --- file format ---------------------------------------------------------
 
 
+def assert_same_arrays(back: Instance, inst: Instance) -> None:
+    # `==` on instances skips the arrays: they are compare=False
+    pairs = ((back.edge_array, inst.edge_array), (back.graph.edge_array, inst.graph.edge_array))
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+        assert got.dtype == np.int64 and not got.flags.writeable
+
+
 def test_round_trip_er():
     g = sample_er_graph(10, 12, seed=2)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=5)
@@ -268,6 +277,7 @@ def test_round_trip_er():
     back = parse_instance(text)
     assert back == inst
     assert format_instance(back) == text
+    assert_same_arrays(back, inst)
 
 
 def test_round_trip_lattice_and_weights(tmp_path):
@@ -280,6 +290,7 @@ def test_round_trip_lattice_and_weights(tmp_path):
     assert back == inst
     assert back.graph.lattice == inst.graph.lattice
     assert back.resamples == inst.resamples
+    assert_same_arrays(back, inst)
 
 
 def test_round_trip_exotic_factors():
@@ -302,6 +313,17 @@ def test_round_trip_exotic_factors():
         lambda t: t.replace("F 1 ", "F 7 ", 1),
         lambda t: t.replace("Q 1 ", "Q 1 bad ", 1),
         lambda t: t.replace("n=6", "n=six"),
+        # the cases below reach the Graph and Instance validators
+        lambda t: t.replace("E 1 4 2 1", "E 0 5 1 1"),  # duplicated edge line
+        lambda t: t.replace("E 2 3 ", "E 3 3 ", 1),  # u == v
+        lambda t: t.replace("E 4 5 ", "E 4 6 ", 1),  # v >= n
+        lambda t: t.replace("E 2 3 2 2", "E 2 3 0 2"),  # factor index 0
+        lambda t: t.replace("E 2 3 2 2", "E 2 3 2 3"),  # factor index f + 1
+        # a vertex id too large for int64
+        lambda t: t.replace("E 4 5 ", "E 4 12345678901234567890 ", 1),
+        # negative counts with a body as long as the header asks for
+        lambda t: t.replace("m=5", "m=-1").split("Q 2")[0],
+        lambda t: t.replace("m=5 f=2", "m=2 f=-1").split("F 1")[0],
     ],
 )
 def test_parse_rejects_corruption(mutate):
@@ -312,6 +334,29 @@ def test_parse_rejects_corruption(mutate):
     assert bad != text
     with pytest.raises(InstanceParseError):
         parse_instance(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-1, 7)] * 4), max_size=6), st.booleans())
+def test_parse_accepts_exactly_the_valid_edge_lines(rows, tidy):
+    # the per-line checks the parser made itself before Graph and Instance
+    # took them over: a per-edge scan, and factor indices in 1..f
+    if tidy:  # mostly valid lists, so the checks see long valid prefixes
+        canon = {(min(u, v), max(u, v)): (h, j) for u, v, h, j in rows}
+        rows = [(*e, *p) for e, p in sorted(canon.items())]
+    n, f = 6, 2
+    head = format_instance(Instance(Graph(n, ()), (), FactorDistribution.uniform(f)))
+    body = "".join(f"E {u} {v} {h} {j}\n" for u, v, h, j in rows)
+    text = head.replace("m=0", f"m={len(rows)}") + body
+    edges = [(u, v) for u, v, _, _ in rows]
+    if reference_edge_error(n, edges) or not all(1 <= h <= f and 1 <= j <= f for *_, h, j in rows):
+        with pytest.raises(InstanceParseError):
+            parse_instance(text)
+    else:
+        want = [(u, v, h - 1, j - 1) for u, v, h, j in rows]
+        inst = parse_instance(text)
+        assert list(inst.edge_tuples()) == want
+        assert inst.edge_array.tolist() == [list(r) for r in want]
 
 
 def test_parse_rejects_misordered_edges():

@@ -27,7 +27,7 @@ def test_parse_config_round_trip():
     assert cfg.trials == 4 and cfg.seed == 77
     assert cfg.dist.f == 2
     assert cfg.cond == "any"
-    assert not cfg.fig8_l3 and not cfg.value and not cfg.timing
+    assert not cfg.fig8_l3 and not cfg.value
 
 
 def test_parse_config_weighted_q_and_flags():
@@ -54,6 +54,7 @@ def test_parse_config_weighted_q_and_flags():
         ("model=er\nn=10\nn=11\ngrid=1.0\ntrials=1\nf=2\nq=uniform\n", "duplicate"),
         ("model=er\nn=10\ngrid=1.0\ntrials=1\nq=uniform\n", "f"),
         ("model=lat2\ngrid=0.5\ntrials=1\nf=2\nq=uniform\n", "L"),
+        ("model=er\nn=10\ngrid=1.0\ntrials=1\nf=2\nq=uniform\ntiming=off\n", "timing"),
     ],
 )
 def test_parse_config_rejects(text, msg):
@@ -180,7 +181,7 @@ def test_er_sweep_leaves_optional_columns_empty():
     for ln in out.strip().split("\n")[1:9]:
         cells = ln.split(",")
         assert cells[11] == "" and cells[12] == "" and cells[13] == ""
-        assert cells[15] == "0"  # ms pinned to zero without timing
+        assert cells[15] == "0"  # ms always reads 0
 
 
 def test_value_column_decimal_or_na():
@@ -191,6 +192,13 @@ def test_value_column_decimal_or_na():
     for ln in out.strip().split("\n")[1:5]:
         cells = ln.split(",")
         assert cells[13] == "0" or cells[13].isdigit() or cells[13].startswith("NA:")
+
+
+def test_run_sweep_rejects_fewer_than_one_thread():
+    cfg = parse_config(BASE_CFG)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(cfg, threads=threads)
 
 
 def test_sweep_config_validation():
