@@ -156,7 +156,7 @@ def _constraint_blocks(
     An edge may leave the component only toward a vertex frozen in the kernel
     state of that edge's own factor; such a constraint annihilates the frozen
     state and imposes nothing here, so the edge is skipped.  Only the
-    component's incident edges are read, in `graph.edges` order.
+    component's incident edges are read, in `edge_array` order.
     """
     comp = sorted(component)
     local = {v: i for i, v in enumerate(comp)}

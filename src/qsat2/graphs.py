@@ -16,7 +16,7 @@ internals:
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 from math import log1p
 from typing import Optional, Sequence
 
@@ -35,48 +35,60 @@ class LatticeInfo:
     L: int
 
 
-def int_rows(items: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
-    """`items`, a sequence of `width`-tuples of ints, as a (len, width) array.
+# scipy's `connected_components` gives int32 vertex labels, and every command
+# builds them, so no graph may have more vertices than int32 can number
+MAX_VERTICES = 2**31 - 1
 
-    The array is int64 unless an entry does not fit, which gives an object
-    array of Python ints.
+
+def check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} is above {MAX_VERTICES}: component labels are int32")
+
+
+def fields_equal(a, b) -> bool:
+    """`==` for dataclasses that compares their array fields by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
+def int_rows(items, width: int, what: str) -> np.ndarray:
+    """`items`, an integer array or a sequence of `width`-tuples of ints, as a
+    C-contiguous (len, width) int64 array.
+
+    An entry outside int64 becomes -1, which every caller rejects as out of range.
     """
-    if not items:
-        return np.empty((0, width), dtype=np.int64)
     try:
-        rows = np.array(items)
-    except ValueError:  # ragged
-        rows = np.empty(0)
-    if rows.shape != (len(items), width):
-        raise ValueError(f"{what} must be {width}-tuples")
+        rows = np.ascontiguousarray(items, dtype=np.int64).reshape(len(items), width)
+    except OverflowError:
+        return int_rows([[x if abs(x) < 2**63 else -1 for x in row] for row in items], width, what)
+    except ValueError:  # ragged, or rows of another width
+        raise ValueError(f"{what} must be {width}-tuples") from None
+    # the int64 cast truncates floats and parses strings; neither is an index
+    if rows.size and not np.array_equal(rows, items):
+        raise ValueError(f"{what} must be integers")
     return rows
 
 
-def pair_tuples(rows: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """An (m, 2) array's rows as a tuple of Python int pairs; undoes `int_rows`."""
-    u, v = rows.T.tolist()
-    return tuple(zip(u, v))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph; edges canonical (u < v) and sorted.
 
-    `edge_array` holds the edges as a read-only (m, 2) integer array in
-    `edges` order.  A sampler that built `edges` from such an array passes
-    it as `array`, and it becomes `edge_array` without a rebuild.
+    `edge_array` is the one record of the edges, a read-only (m, 2) int64
+    array; it may be given as any integer array or sequence of int pairs.
+    `edges` rebuilds the pairs as Python ints each time it is read.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     lattice: Optional[LatticeInfo] = None
-    array: InitVar[Optional[np.ndarray]] = None
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, array: Optional[np.ndarray]) -> None:
+    def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
-        rows = int_rows(self.edges, 2, "edges") if array is None else array
+        check_vertex_count(self.n)
+        rows = int_rows(self.edge_array, 2, "edges")
         m = len(rows)
         u, v = rows.T
         # the first edge out of range, and the first that does not follow its
@@ -85,18 +97,25 @@ class Graph:
         unsorted = np.flatnonzero((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1])))
         i = int(bad[0]) if len(bad) else m
         k = int(unsorted[0]) + 1 if len(unsorted) else m
+        # messages quote the edges as given, so an entry past int64 shows as is
         if i < m and i <= k:
-            a, b = self.edges[i]
+            a, b = self.edge_array[i]
             raise ValueError(f"edge ({a},{b}) out of range or misordered")
         if k < m:
-            a, b = self.edges[k]
+            a, b = self.edge_array[k]
             raise ValueError(f"edges not sorted and distinct at ({a},{b})")
         rows.flags.writeable = False
         object.__setattr__(self, "edge_array", rows)
 
+    __eq__ = fields_equal
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.edge_array.T.tolist()))
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def model_tag(self) -> str:
         if self.lattice is None:
@@ -104,25 +123,8 @@ class Graph:
         return f"lat{self.lattice.d}"
 
 
-def adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _shuffle_prefix(items: list, k: int, rng: random.Random) -> list:
-    # Fisher-Yates, stopped after k draws; returns the k selected items.
-    n = len(items)
-    for i in range(k):
-        j = rng.randrange(i, n)
-        items[i], items[j] = items[j], items[i]
-    return items[:k]
 
 
 def _first_distinct_pairs(n: int, m: int, rng: random.Random) -> np.ndarray:
@@ -142,9 +144,7 @@ def _first_distinct_pairs(n: int, m: int, rng: random.Random) -> np.ndarray:
         u, v = stream[0 : 2 * half : 2], stream[1 : 2 * half : 2]
         keep = u != v
         lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-        # past n = 3.04e9 a pair's code n * lo + hi leaves int64
-        wide = lo if n * n <= 2**63 else lo.astype(object)
-        codes, first = np.unique(wide * n + hi, return_index=True)
+        codes, first = np.unique(lo * n + hi, return_index=True)
         if len(codes) >= m:
             break
         stream = np.concatenate((stream, next(batches)))
@@ -163,15 +163,17 @@ def sample_er_graph(n: int, m: int, seed: int) -> Graph:
     npairs = n * (n - 1) // 2
     if m < 0 or m > npairs:
         raise ValueError(f"m={m} out of range for n={n}")
+    check_vertex_count(n)
     rng = random.Random(seed)
     if m == 0:
         return Graph(n, ())
     if m <= n * n // 8:
-        rows = _first_distinct_pairs(n, m, rng)
-        # from n = 2**32 the draws are Python ints; Graph types them itself
-        return Graph(n, pair_tuples(rows), array=rows if rows.dtype == np.int64 else None)
+        return Graph(n, _first_distinct_pairs(n, m, rng))
     allpairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, tuple(sorted(_shuffle_prefix(allpairs, m, rng))))
+    for i in range(m):  # Fisher-Yates, stopped after m draws
+        j = rng.randrange(i, npairs)
+        allpairs[i], allpairs[j] = allpairs[j], allpairs[i]
+    return Graph(n, sorted(allpairs[:m]))
 
 
 def lattice_vertex(coord: Sequence[int], L: int) -> int:
@@ -209,11 +211,12 @@ def sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
         raise ValueError("lattice side must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("bond probability must lie in [0, 1]")
+    check_vertex_count(L**d)
     rng = random.Random(seed)
     bonds = _lattice_edge_array(d, L)
     kept = bonds[uniform01(rng, len(bonds)) < p]
     rows = kept[np.lexsort((kept[:, 1], kept[:, 0]))]
-    return Graph(L**d, pair_tuples(rows), LatticeInfo(d, L), rows)
+    return Graph(L**d, rows, LatticeInfo(d, L))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,10 @@ def enumerate_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
     """
     if length < 3:
         raise ValueError("cycles need at least three vertices")
-    adj = [sorted(nbrs) for nbrs in adjacency(g)]
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in zip(*g.edge_array.T.tolist()):  # edges ascend, so each list does
+        adj[u].append(v)
+        adj[v].append(u)
     adjset = [frozenset(nbrs) for nbrs in adj]
     cycles: list[tuple[int, ...]] = []
     path: list[int] = []
@@ -380,16 +386,13 @@ def _plaquettes_on_edge(
 ) -> list[tuple[int, int, int, int]]:
     """Side paths b -> x -> y -> e for every fully-present plaquette on the edge."""
 
-    def vid(c: Sequence[int]) -> int:
-        return lattice_vertex(c, L)
-
     def has(a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in present
 
-    b = vid(coord)
+    b = lattice_vertex(coord, L)
     ecoord = list(coord)
     ecoord[axis] += 1
-    e = vid(ecoord)
+    e = lattice_vertex(ecoord, L)
     sides = []
     for axis2 in range(d):
         if axis2 == axis:
@@ -402,7 +405,7 @@ def _plaquettes_on_edge(
             xcoord[axis2] = c2
             ycoord = list(ecoord)
             ycoord[axis2] = c2
-            x, y = vid(xcoord), vid(ycoord)
+            x, y = lattice_vertex(xcoord, L), lattice_vertex(ycoord, L)
             if has(b, x) and has(x, y) and has(y, e):
                 sides.append((b, x, y, e))
     return sides
@@ -417,17 +420,15 @@ def enumerate_dominoes(g: Graph) -> list[Domino]:
     if g.lattice is None:
         raise ValueError("domino enumeration needs a lattice graph")
     d, L = g.lattice.d, g.lattice.L
-    present = frozenset(g.edges)
+    edges = list(zip(*g.edge_array.T.tolist()))
+    present = frozenset(edges)
     out: list[Domino] = []
-    for u, v in g.edges:
-        cu = lattice_coord(u, d, L)
-        cv = lattice_coord(v, d, L)
+    for u, v in edges:
+        cu, cv = lattice_coord(u, d, L), lattice_coord(v, d, L)
+        # u < v, so u is the lower end on the first axis where they differ
         axis = next(i for i in range(d) if cu[i] != cv[i])
-        base = cu if cu[axis] < cv[axis] else cv
-        sides = _plaquettes_on_edge(tuple(base), axis, d, L, present)
-        b = lattice_vertex(base, L)
-        e = v if b == u else u
+        sides = _plaquettes_on_edge(cu, axis, d, L, present)
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
-                out.append(Domino((b, e), sides[i], sides[j]))
+                out.append(Domino((u, v), sides[i], sides[j]))
     return out

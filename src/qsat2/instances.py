@@ -10,7 +10,7 @@ until the growing instance stays satisfiable).
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import Graph, LatticeInfo, int_rows, pair_tuples
+from .graphs import Graph, LatticeInfo, fields_equal, int_rows
 from .seeding import randbelow, randbelow_batches
 from .twosat import TwoSatEngine
 
@@ -123,43 +123,42 @@ class FactorDistribution:
         return self.q[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A graph with one factor-index pair per edge, aligned to graph.edges.
+    """A graph with one factor-index pair per edge, aligned to the graph's edges.
 
     `conditioning` records provenance: "any" for unconditional sampling,
     "free" for the frustration-free rejection sampler; `resamples` counts
     rejected factor pairs during conditioned generation.
 
-    `edge_array` holds the edges as a read-only (m, 4) integer array of
-    (u, v, h, j) rows in `graph.edges` order; deciding, freezing and
-    decoupling read the instance's edges there.  A sampler that built
-    `pairs` from such an array passes it as `array`, and it becomes
-    `edge_array` without a rebuild.
+    `edge_array` is the one record of the edges and their factors, a
+    read-only (m, 4) int64 array of (u, v, h, j) rows; deciding, freezing
+    and decoupling read the instance there.  `pairs`, given as any integer
+    array or sequence of int pairs, is kept as its (h, j) columns.
     """
 
     graph: Graph
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     dist: FactorDistribution
     conditioning: str = "any"
     seed: int = 0
     resamples: int = 0
-    array: InitVar[Optional[np.ndarray]] = None
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_array: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, array: Optional[np.ndarray]) -> None:
+    def __post_init__(self) -> None:
         if len(self.pairs) != self.graph.m:
             raise ValueError("one factor pair per edge required")
-        if array is None:
-            pairs = int_rows(self.pairs, 2, "factor pairs")
-            array = np.hstack((self.graph.edge_array, pairs))
-        factors = array[:, 2:]
-        if ((factors < 0) | (factors >= self.dist.f)).any():
+        pairs = int_rows(self.pairs, 2, "factor pairs")
+        if ((pairs < 0) | (pairs >= self.dist.f)).any():
             raise ValueError("factor index out of range")
         if self.conditioning not in ("any", "free"):
             raise ValueError("conditioning must be 'any' or 'free'")
-        array.flags.writeable = False
-        object.__setattr__(self, "edge_array", array)
+        rows = np.hstack((self.graph.edge_array, pairs))
+        rows.flags.writeable = False
+        object.__setattr__(self, "edge_array", rows)
+        object.__setattr__(self, "pairs", rows[:, 2:])
+
+    __eq__ = fields_equal
 
     @property
     def n(self) -> int:
@@ -169,19 +168,15 @@ class Instance:
     def m(self) -> int:
         return self.graph.m
 
-    def edge_tuples(self) -> Iterator[tuple[int, int, int, int]]:
-        for (u, v), (h, j) in zip(self.graph.edges, self.pairs):
-            yield u, v, h, j
-
     @cached_property
     def incident(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per vertex, (other endpoint, own factor, other factor) per edge.
 
-        Entries follow `graph.edges` order.  Code that needs one component's
+        Entries follow `edge_array` order.  Code that needs one component's
         edges reads them here, in time proportional to the component.
         """
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for u, v, h, j in self.edge_tuples():
+        for u, v, h, j in zip(*self.edge_array.T.tolist()):
             out[u].append((v, h, j))
             out[v].append((u, j, h))
         return tuple(map(tuple, out))
@@ -194,8 +189,7 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
     """
     rng = random.Random(seed)
     pairs = dist.indices(randbelow(rng, dist._den, 2 * g.m)).reshape(-1, 2)
-    rows = np.hstack((g.edge_array, pairs))
-    return Instance(g, pair_tuples(pairs), dist, "any", seed, 0, rows)
+    return Instance(g, pairs, dist, "any", seed, 0)
 
 
 def satisfiable(inst: Instance) -> bool:
@@ -253,11 +247,12 @@ def sample_frustration_free_instance(g: Graph, dist: FactorDistribution, seed: i
 
     eng = TwoSatEngine(g.n)
     frozen = eng.frozen
-    pairs: list[Optional[tuple[int, int]]] = [None] * g.m
+    us, vs = g.edge_array.T.tolist()
+    hs, js = [0] * g.m, [0] * g.m
     resamples = 0
 
     for idx in order:
-        u, v = g.edges[idx]
+        u, v = us[idx], vs[idx]
         rejected = 0
         while True:
             h = draw()
@@ -272,7 +267,7 @@ def sample_frustration_free_instance(g: Graph, dist: FactorDistribution, seed: i
                     if rejected >= RESAMPLE_BUDGET:
                         raise ResampleBudgetError(u, v, RESAMPLE_BUDGET)
                     continue
-            pairs[idx] = (h, j)
+            hs[idx], js[idx] = h, j
             eng.add_edge(u, v, h, j)
             if not sat_v:
                 eng.freeze(u, h)
@@ -280,7 +275,7 @@ def sample_frustration_free_instance(g: Graph, dist: FactorDistribution, seed: i
                 eng.freeze(v, j)
             break
 
-    return Instance(g, tuple(pairs), dist, "free", seed, resamples)
+    return Instance(g, np.column_stack((hs, js)), dist, "free", seed, resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def format_instance(inst: Instance) -> str:
         lines.append(f"F {i + 1} {fac.render()}")
     for i, w in enumerate(inst.dist.q):
         lines.append(f"Q {i + 1} {w.numerator}/{w.denominator}")
-    for (u, v), (h, j) in zip(g.edges, inst.pairs):
+    for u, v, h, j in zip(*inst.edge_array.T.tolist()):
         lines.append(f"E {u} {v} {h + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 
@@ -404,8 +399,7 @@ def parse_instance(text: str) -> Instance:
 
     try:
         dist = FactorDistribution(tuple(factors), tuple(weights))
-        graph = Graph(n, pair_tuples(rows[:, :2]), lattice, rows[:, :2])
-        return Instance(graph, pair_tuples(rows[:, 2:]), dist, cond, seed, resamples, rows)
+        return Instance(Graph(n, rows[:, :2], lattice), rows[:, 2:], dist, cond, seed, resamples)
     except ValueError as e:
         raise InstanceParseError(str(e)) from None
 

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .counting import ComponentCapError, RankBackendConfig, decomposition_value
 from .graphs import (
+    check_vertex_count,
     enumerate_dominoes,
     enumerate_figure_eights,
     sample_er_graph,
@@ -69,6 +70,7 @@ class SweepConfig:
         # everything a trial would reject, so a bad sweep fails before it runs
         if not all(math.isfinite(gv) and gv >= 0 for gv in self.grid):
             raise ValueError("grid values must be finite and non-negative")
+        check_vertex_count(self.n if self.model == "er" else self.L ** int(self.model[3]))
         if self.model == "er":
             m, npairs = round(self.grid[-1] * self.n), self.n * (self.n - 1) // 2
             if m > npairs:
@@ -146,7 +148,7 @@ def generate_instance(
         inst = sample_frustration_free_instance(g, dist, fseed)
     else:
         inst = sample_instance(g, dist, fseed)
-    return replace(inst, seed=seed, array=inst.edge_array)
+    return replace(inst, seed=seed)
 
 
 def analyze_instance(inst: Instance, cutoff_c: float = 3.0) -> tuple[Decomposition, int]:

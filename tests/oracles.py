@@ -92,7 +92,7 @@ def dense_rows(inst: Instance, component: Sequence[int]) -> np.ndarray:
     k = len(comp)
     eye = np.eye(2, dtype=complex)
     rows = []
-    for u, v, h, j in inst.edge_tuples():
+    for u, v, h, j in inst.edge_array.tolist():
         if u not in pos and v not in pos:
             continue
         if u not in pos or v not in pos:
@@ -137,7 +137,7 @@ def reference_constraint_rows(
     local = {v: i for i, v in enumerate(comp)}
     k = len(comp)
     factors = inst.dist.factors
-    for (u, v), (h, j) in zip(inst.graph.edges, inst.pairs):
+    for u, v, h, j in inst.edge_array.tolist():
         inu, inv_ = u in local, v in local
         if inu != inv_:
             out_v, out_h = (v, j) if inu else (u, h)
@@ -281,7 +281,7 @@ def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool
     local = {v: i for i, v in enumerate(sorted(comp))}
     edges = [
         (local[u], local[v], h, j)
-        for u, v, h, j in inst.edge_tuples()
+        for u, v, h, j in inst.edge_array.tolist()
         if u in local
     ]
     states, _ = reference_solve(len(local), edges)
@@ -300,7 +300,7 @@ def diagonal_count(inst: Instance) -> int:
         if not b.c1.is_zero() and not b.c0.is_zero():
             raise ValueError("factors are not all standard basis bras")
         killed.append(0 if b.c1.is_zero() else 1)
-    edges = [(u, v, killed[h], killed[j]) for u, v, h, j in inst.edge_tuples()]
+    edges = [(u, v, killed[h], killed[j]) for u, v, h, j in inst.edge_array.tolist()]
     count = 0
     for x in range(2**inst.n):
         if all(not ((x >> u) & 1 == a and (x >> v) & 1 == b) for u, v, a, b in edges):
@@ -322,7 +322,7 @@ def naive_vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
     """Per-start BFS over kernel states; the quadratic reference walk search."""
     f = inst.dist.f
     incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(inst.n)}
-    for u, v, h, j in inst.edge_tuples():
+    for u, v, h, j in inst.edge_array.tolist():
         incident[u].append((v, h, j))
         incident[v].append((u, j, h))
     out: dict[int, list[frozenset[int]]] = {}
@@ -425,7 +425,7 @@ def brute_force_backbone(inst: Instance) -> Optional[dict[int, int]]:
     no assignment satisfies every edge.
     """
     f = inst.dist.f
-    edges = list(inst.edge_tuples())
+    edges = inst.edge_array.tolist()
     common: Optional[list[Optional[int]]] = None
     for assign in product(range(f + 1), repeat=inst.n):
         if not all(assign[u] == h or assign[v] == j for u, v, h, j in edges):
@@ -731,7 +731,7 @@ def reference_components(g: Graph) -> ComponentReport:
 def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
     """Backbone from a whole-instance `reference_solve` and an engine grown
     edge by edge: every witness state is probed, tree components included."""
-    edges = list(inst.edge_tuples())
+    edges = inst.edge_array.tolist()
     witness, _ = reference_solve(inst.n, edges)
     if witness is None:
         return None
@@ -748,7 +748,7 @@ def reference_frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenS
     """`structure.frozen_subgraph` by one Python step per edge and a
     union-find over the frozen vertices."""
     arcs: list[tuple[int, int]] = []
-    for u, v, h, j in inst.edge_tuples():
+    for u, v, h, j in inst.edge_array.tolist():
         fu, fv = frozen.get(u), frozen.get(v)
         if fu is not None and fu != h:
             if fv is None:
@@ -958,7 +958,7 @@ def _state_arcs(inst: Instance) -> tuple[list[int], list[int]]:
     f = inst.dist.f
     src: list[int] = []
     dst: list[int] = []
-    for u, v, h, j in inst.edge_tuples():
+    for u, v, h, j in inst.edge_array.tolist():
         for a in range(f):
             if a != h:
                 src.append(u * f + a)
@@ -1024,7 +1024,7 @@ def vertex_options(inst: Instance) -> dict[int, list[frozenset[int]]]:
         return {}
     mask = (1 << f) - 1
     starts: dict[tuple[int, int], int] = {}
-    for u, v, h, j in inst.edge_tuples():
+    for u, v, h, j in inst.edge_array.tolist():
         key = (u, h)
         starts[key] = starts.get(key, 0) | reach[v * f + j]
         key = (v, j)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsat2.cli import main
+from qsat2.graphs import Graph
 from qsat2.instances import FactorDistribution, load_instance, satisfiable, save_instance
 from qsat2.sweep import generate_instance
 
@@ -224,6 +225,37 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli("gen", "--model", "er", "--n", "5", "--m", "3", "--q", "uniform", capsys=capsys)
     assert code == 2  # uniform without --f
+
+
+def test_gen_oversize_n_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.q2"
+    code, _, err = run_cli(
+        "gen", "--n", "3000000000", "--m", "4", "--f", "2", "--out", str(out), capsys=capsys
+    )
+    assert code == 2 and "above 2147483647" in err
+    assert not out.exists()
+
+
+def test_pipeline_never_reads_the_edge_tuple_view(tmp_path, capsys, monkeypatch):
+    # edges and factor pairs are read from the int64 edge arrays only
+    def read(graph):
+        raise AssertionError("Graph.edges was read")
+
+    monkeypatch.setattr(Graph, "edges", property(read))
+    # unconditioned: frustrated; conditioned: a frozen core and small residuals
+    shapes = {"er": ["--n", "600", "--m", "1500"], "lat2": ["--L", "12", "--p", "0.9"]}
+    for model, shape in shapes.items():
+        for cond in ("any", "ff"):
+            path = str(tmp_path / f"{model}_{cond}.q2")
+            args = ["gen", "--model", model, *shape, "--f", "4", "--cond", cond, "--out", path]
+            assert run_cli(*args, capsys=capsys)[0] == 0
+            assert run_cli("count", path, capsys=capsys)[0] == 0
+            assert run_cli("analyze", path, capsys=capsys)[0] == 0
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("model=er\nn=60\ngrid=0.3,1.2\ntrials=3\nf=3\ncond=ff\nseed=4\nvalue=on\n")
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out), capsys=capsys)[0] == 0
+    assert out.read_text().count("\n") == 9  # header, 6 trials, 2 summaries
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsat2 import graphs
 from qsat2.graphs import (
     Graph,
+    LatticeInfo,
     components,
     enumerate_cycles,
     enumerate_dominoes,
@@ -38,6 +40,10 @@ def test_graph_validates():
         Graph(3, ((0, 3),))
     with pytest.raises(ValueError):
         Graph(3, ((0, 1), (0, 1)))
+    # the int64 cast would truncate a float and parse a string
+    for entries in (((0.5, 1),), (("0", "2"),), np.array([[0.5, 1.0]])):
+        with pytest.raises(ValueError, match="edges must be integers"):
+            Graph(3, entries)
 
 
 def _error(build):
@@ -94,7 +100,7 @@ def test_graph_edge_array_is_read_only_int64():
 
 def _same_graph(g, ref):
     assert g == ref
-    assert g.edge_array.dtype == ref.edge_array.dtype
+    assert g.edge_array.dtype == np.int64
     assert np.array_equal(g.edge_array, ref.edge_array)
     assert not g.edge_array.flags.writeable
     assert all(type(x) is int for e in g.edges for x in e)
@@ -119,13 +125,34 @@ def test_er_sampler_edge_cases_match_reference(n, m):
         _same_graph(sample_er_graph(n, m, seed), reference_sample_er_graph(n, m, seed))
 
 
-@pytest.mark.parametrize("n", [3_500_000_000, 2**32 + 5, 2**64 + 3])
-def test_er_sampler_huge_vertex_counts_match_reference(n):
-    # past n = 3.04e9 the pair codes leave int64; from 2**32 the draws fall
-    # back to one randrange call each; past 2**63 the edges leave int64
-    g = sample_er_graph(n, 4, 11)
-    ref = reference_sample_er_graph(n, 4, 11)
-    assert g == ref and g.edge_array.dtype == ref.edge_array.dtype
+def test_vertex_count_is_bounded_by_int32_labels(monkeypatch):
+    # only the refused side runs: nothing is allocated at the bound
+    with pytest.raises(ValueError, match="above 2147483647"):
+        Graph(2**31, ())
+    assert Graph(2**31 - 1, ()).n == 2**31 - 1
+
+    def allocate(*args):
+        raise AssertionError("drew or allocated before checking n")
+
+    monkeypatch.setattr(graphs, "randbelow_batches", allocate)
+    monkeypatch.setattr(graphs, "_lattice_edge_array", allocate)
+    with pytest.raises(ValueError, match="above 2147483647"):
+        sample_er_graph(2**31, 4, 0)
+    assert 1291**3 > 2**31 - 1
+    with pytest.raises(ValueError, match="above 2147483647"):
+        sample_lattice(3, 1291, 0.5, 0)
+
+
+def test_graphs_compare_by_value():
+    edges = ((0, 1), (1, 3), (2, 3))
+    g = Graph(4, edges)
+    assert g == Graph(4, np.array(edges)) == Graph(4, list(edges))
+    assert g != Graph(4, ((0, 1), (1, 2), (2, 3)))
+    assert g != Graph(4, edges[:2])
+    assert g != Graph(5, edges)
+    assert g != Graph(4, edges, LatticeInfo(2, 2))
+    assert g.edges == edges
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 @settings(max_examples=80, deadline=None)

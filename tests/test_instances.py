@@ -104,8 +104,8 @@ def test_sample_instance_deterministic():
     a = sample_instance(g, FactorDistribution.uniform(3), seed=9)
     b = sample_instance(g, FactorDistribution.uniform(3), seed=9)
     c = sample_instance(g, FactorDistribution.uniform(3), seed=10)
-    assert a.pairs == b.pairs
-    assert a.pairs != c.pairs
+    assert np.array_equal(a.pairs, b.pairs)
+    assert not np.array_equal(a.pairs, c.pairs)
     assert a.conditioning == "any" and a.seed == 9 and a.resamples == 0
     assert all(0 <= h < 3 and 0 <= j < 3 for h, j in a.pairs)
 
@@ -116,7 +116,7 @@ def test_product_witness_satisfies():
     w = product_witness(inst)
     assert (w is not None) == satisfiable(inst)
     if w is not None:
-        for u, v, h, j in inst.edge_tuples():
+        for u, v, h, j in inst.edge_array.tolist():
             su = w[u] if w[u] is not None else h
             sv = w[v] if w[v] is not None else j
             assert su == h or sv == j
@@ -147,7 +147,8 @@ def _same_instance(inst, ref):
     assert inst == ref
     assert inst.edge_array.dtype == np.int64 and not inst.edge_array.flags.writeable
     assert np.array_equal(inst.edge_array, ref.edge_array)
-    assert all(type(x) is int for p in inst.pairs for x in p)
+    # the pairs are the factor columns of the one edge record
+    assert inst.pairs.base is inst.edge_array
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,6 +236,7 @@ def test_resample_budget_guard_raises(monkeypatch):
         (((0, 1), (0, 2**70)), {}, "factor index out of range"),
         (((0, 1), (1, 0)), {"conditioning": "some"}, "conditioning must be 'any' or 'free'"),
         (((0, 1), (0, 1, 0)), {}, "factor pairs must be 2-tuples"),
+        (((0, 1), (1.5, 0)), {}, "factor pairs must be integers"),
     ],
 )
 def test_instance_validation_messages(pairs, kwargs, message):
@@ -242,6 +244,24 @@ def test_instance_validation_messages(pairs, kwargs, message):
     with pytest.raises(ValueError) as err:
         Instance(g, pairs, FactorDistribution.uniform(2), **kwargs)
     assert str(err.value) == message
+
+
+def test_instances_compare_by_value():
+    dist = FactorDistribution.uniform(3)
+    edges, pairs = ((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 2), (1, 0))
+    inst = Instance(Graph(4, edges), pairs, dist, "free", 5, 2)
+    same = Instance(Graph(4, np.array(edges)), np.array(pairs), dist, "free", 5, 2)
+    assert inst == same
+    other_graph = Graph(4, ((0, 1), (1, 2), (1, 3)))
+    for changed in (
+        Instance(other_graph, pairs, dist, "free", 5, 2),
+        Instance(Graph(4, edges), ((0, 1), (2, 2), (1, 1)), dist, "free", 5, 2),
+        Instance(Graph(4, edges), pairs, FactorDistribution.uniform(4), "free", 5, 2),
+        Instance(Graph(4, edges), pairs, dist, "any", 5, 2),
+        Instance(Graph(4, edges), pairs, dist, "free", 6, 2),
+        Instance(Graph(4, edges), pairs, dist, "free", 5, 3),
+    ):
+        assert inst != changed
 
 
 def test_conditioned_sampler_always_satisfiable():
@@ -324,6 +344,8 @@ def test_round_trip_exotic_factors():
         # negative counts with a body as long as the header asks for
         lambda t: t.replace("m=5", "m=-1").split("Q 2")[0],
         lambda t: t.replace("m=5 f=2", "m=2 f=-1").split("F 1")[0],
+        # more vertices than int32 component labels can hold
+        lambda t: t.replace("n=6", "n=2147483648"),
     ],
 )
 def test_parse_rejects_corruption(mutate):
@@ -355,7 +377,6 @@ def test_parse_accepts_exactly_the_valid_edge_lines(rows, tidy):
     else:
         want = [(u, v, h - 1, j - 1) for u, v, h, j in rows]
         inst = parse_instance(text)
-        assert list(inst.edge_tuples()) == want
         assert inst.edge_array.tolist() == [list(r) for r in want]
 
 
@@ -376,4 +397,4 @@ def test_factor_index_file_convention():
     edge_lines = [ln for ln in text.splitlines() if ln.startswith("E ")]
     assert edge_lines[0].split()[3:] == ["1", "2"]
     assert edge_lines[1].split()[3:] == ["2", "1"]
-    assert parse_instance(text).pairs == ((0, 1), (1, 0))
+    assert parse_instance(text).pairs.tolist() == [[0, 1], [1, 0]]

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from qsat2.seeding import (
     stream_seed,
     uniform01,
 )
+
+from rng_premise import KERNEL_BOUNDS
 
 u64 = st.integers(0, MASK64)
 
@@ -91,7 +96,16 @@ def test_stream_separation():
 
 # --- the bulk draw kernel ---------------------------------------------------
 
-KERNEL_BOUNDS = [1, 2, 3, 2**5, 2**5 + 1, 2**16, 2**16 + 1, 2**31 + 1, 2**32 - 1]
+
+def test_rng_premise_holds_without_numpy():
+    # the stdlib-only check of the word rules the kernel redoes; with numpy
+    # blocked, any import of it fails the script
+    script = str(Path(__file__).with_name("rng_premise.py"))
+    run = "import runpy, sys; sys.modules['numpy'] = None; "
+    run += f"runpy.run_path({script!r}, run_name='__main__')"
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rng premise holds on Python ")
 
 
 @pytest.mark.parametrize("bound", KERNEL_BOUNDS + [2**32, 2**32 + 1, 3**40])

@@ -213,6 +213,8 @@ INVALID_SWEEPS = {
     "er_too_dense": ("model=er\nn=5\ngrid=0.5,3.0\ntrials=2\nf=2\n", "m=15"),
     "negative_grid": ("model=er\nn=50\ngrid=-1.0\ntrials=2\nf=2\n", "non-negative"),
     "bond_probability": ("model=lat2\nL=4\ngrid=1.5\ntrials=2\nf=2\n", r"\[0, 1\]"),
+    "er_oversize_n": ("model=er\nn=2147483648\ngrid=1.0\ntrials=2\nf=2\n", "above 2147483647"),
+    "lat3_oversize_n": ("model=lat3\nL=1291\ngrid=0.5\ntrials=2\nf=2\n", "above 2147483647"),
     "value_cap_zero": (
         "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\nvalue=on\nmax_component_qubits=0\n",
         "cap",
