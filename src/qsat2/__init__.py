@@ -9,7 +9,7 @@ The names below are the library surface; everything else stays in its
 module.
 """
 
-from .counting import ComponentCapError, RankBackendConfig, component_value, instance_value
+from .counting import ComponentCapError, component_value, instance_value
 from .exactq import bra
 from .graphs import (
     ComponentReport,
@@ -58,7 +58,6 @@ __all__ = [
     "Graph",
     "Instance",
     "InstanceParseError",
-    "RankBackendConfig",
     "ResampleBudgetError",
     "SweepConfig",
     "bra",

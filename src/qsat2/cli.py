@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import ComponentCapError, RankBackendConfig, component_value, product_tree
+from .counting import ComponentCapError, check_component_cap, component_value, product_tree
 from .instances import (
     FactorDistribution,
     InstanceParseError,
@@ -93,7 +93,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cfg = RankBackendConfig(max_component_qubits=args.max_component)
+    check_component_cap(args.max_component)
     inst = load_instance(args.file)
     dec = decouple(inst)
     if dec.label == "frustrated":
@@ -101,7 +101,7 @@ def _cmd_count(args) -> int:
         return 0
     values = []
     for cid, comp in enumerate(dec.residual_components):
-        val = component_value(inst, comp, cfg, frozen=dec.frozen)
+        val = component_value(inst, comp, args.max_component, frozen=dec.frozen)
         values.append(val)
         print(f"C {cid} {len(comp)} {val}")
     print(f"VALUE {product_tree(values)}")

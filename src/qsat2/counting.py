@@ -6,17 +6,18 @@ M stacks, for every edge, the constraint bra tensored with standard-basis
 bras on the component's other k-2 qubits; every such row has at most four
 nonzero entries.  Rows are built per edge: the edge's coefficients are
 embedded in each field once, and its rows step the spectator bits through
-the submasks of one mask.  Rank is computed by sparse elimination, either exactly
-over the Gaussian rationals or modulo large primes p = 1 (mod 4), where the
-imaginary unit embeds as a square root of -1.  Modular rank can only
-undercount (a minor may vanish mod p), so two primes must agree and any
-disagreement escalates to exact arithmetic.
+the submasks of one mask.  Rank is computed by sparse elimination modulo
+two large primes p = 1 (mod 4), where the imaginary unit embeds as a square
+root of -1.  Modular rank can only undercount (a minor may vanish mod p), so
+the two primes must agree; a disagreement, or a coefficient whose
+denominator vanishes mod a prime, escalates to exact arithmetic over the
+Gaussian rationals.  The one setting is the qubit cap: a component over
+`max_component_qubits` raises ComponentCapError instead of being counted.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -24,32 +25,15 @@ from .exactq import GaussianRational
 from .instances import Instance
 from .structure import Decomposition, decouple
 
-# 62-bit primes with p = 1 (mod 4); the second and later entries verify the
-# first, and exact arithmetic settles any disagreement.
-MOD_PRIMES = (
-    2305843009213693973,
-    2305843009213694009,
-    2305843009213694017,
-    2305843009213694149,
-)
+# 62-bit primes with p = 1 (mod 4); each verifies the other, and exact
+# arithmetic settles any disagreement.
+MOD_PRIMES = (2305843009213693973, 2305843009213694009)
 
 
-@dataclass(frozen=True)
-class RankBackendConfig:
-    mode: str = "modular"  # "modular" | "exact_rational"
-    verify_primes: int = 2
-    max_component_qubits: int = 16
-
-    def __post_init__(self):
-        if self.mode not in ("modular", "exact_rational"):
-            raise ValueError(f"unknown rank mode {self.mode!r}")
-        if self.mode == "modular" and not 1 <= self.verify_primes <= len(MOD_PRIMES):
-            raise ValueError(f"verify_primes must be in 1..{len(MOD_PRIMES)}")
-        if self.max_component_qubits < 1:
-            raise ValueError("component cap must be positive")
-
-
-DEFAULT_CONFIG = RankBackendConfig()
+def check_component_cap(max_component_qubits: int) -> None:
+    """Reject a component cap below one qubit: no rank would ever run."""
+    if max_component_qubits < 1:
+        raise ValueError("component cap must be positive")
 
 
 class ComponentCapError(RuntimeError):
@@ -203,25 +187,17 @@ def _echelon_rank(blocks: Iterable, field) -> int:
     return len(basis)
 
 
-def component_rank(
-    inst: Instance,
-    component: Sequence[int],
-    config: RankBackendConfig,
-    frozen: Optional[dict] = None,
-) -> int:
-    if config.mode == "exact_rational":
-        return _exact_rank(inst, component, frozen)
-    ranks = []
-    for p in MOD_PRIMES[: config.verify_primes]:
+def _verified_rank(inst: Instance, component: Sequence[int], frozen: Optional[dict] = None) -> int:
+    """The rank modulo both MOD_PRIMES; a clash or a disagreement settles it exactly."""
+    ranks = set()
+    for p in MOD_PRIMES:
         try:
-            ranks.append(
-                _echelon_rank(_constraint_blocks(inst, component, frozen), _MOD_FIELDS[p])
-            )
+            ranks.add(_echelon_rank(_constraint_blocks(inst, component, frozen), _MOD_FIELDS[p]))
         except _PrimeClash:
             return _exact_rank(inst, component, frozen)
-    if len(set(ranks)) != 1:
+    if len(ranks) != 1:
         return _exact_rank(inst, component, frozen)
-    return ranks[0]
+    return ranks.pop()
 
 
 def _exact_rank(inst, component, frozen=None) -> int:
@@ -231,14 +207,18 @@ def _exact_rank(inst, component, frozen=None) -> int:
 def component_value(
     inst: Instance,
     component: Sequence[int],
-    config: RankBackendConfig = DEFAULT_CONFIG,
+    max_component_qubits: int = 16,
     frozen: Optional[dict] = None,
 ) -> int:
-    """Ground-space dimension 2^k - rank restricted to one component."""
+    """Ground-space dimension 2^k - rank restricted to one component.
+
+    Components over `max_component_qubits` raise ComponentCapError.
+    """
+    check_component_cap(max_component_qubits)
     k = len(component)
-    if k > config.max_component_qubits:
-        raise ComponentCapError(k, config.max_component_qubits, component)
-    return (1 << k) - component_rank(inst, component, config, frozen)
+    if k > max_component_qubits:
+        raise ComponentCapError(k, max_component_qubits, component)
+    return (1 << k) - _verified_rank(inst, component, frozen)
 
 
 def product_tree(values: Sequence[int]) -> int:
@@ -258,28 +238,28 @@ def product_tree(values: Sequence[int]) -> int:
     return heap[0]
 
 
-def decomposition_value(
-    inst: Instance, dec: Decomposition, config: RankBackendConfig = DEFAULT_CONFIG
-) -> int:
+def decomposition_value(inst: Instance, dec: Decomposition, max_component_qubits: int = 16) -> int:
     """Ground-space dimension from a decomposition of `inst`; 0 iff frustrated.
 
     Each frozen qubit contributes a one-dimensional factor, so the value is
     the product over the residual components.
     """
+    check_component_cap(max_component_qubits)
     if dec.label == "frustrated":
         return 0
     return product_tree(
         [
-            component_value(inst, comp, config, frozen=dec.frozen)
+            component_value(inst, comp, max_component_qubits, frozen=dec.frozen)
             for comp in dec.residual_components
         ]
     )
 
 
-def instance_value(inst: Instance, config: RankBackendConfig = DEFAULT_CONFIG) -> int:
+def instance_value(inst: Instance, max_component_qubits: int = 16) -> int:
     """Dimension of the instance's full ground space; 0 iff frustrated.
 
     Frozen qubits are removed first and the residual components are counted
     independently.
     """
-    return decomposition_value(inst, decouple(inst), config)
+    check_component_cap(max_component_qubits)
+    return decomposition_value(inst, decouple(inst), max_component_qubits)

@@ -21,7 +21,7 @@ import numpy as np
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
 from .graphs import Graph, LatticeInfo, fields_equal, int_rows
 from .seeding import randbelow, randbelow_batches
-from .twosat import TwoSatEngine
+from .twosat import TwoSatEngine, solve
 
 
 def default_factors(f: int) -> tuple[BraState, ...]:
@@ -193,7 +193,7 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
 
 
 def satisfiable(inst: Instance) -> bool:
-    states, _ = TwoSatEngine(inst.n, inst.edge_array).solve()
+    states, _ = solve(inst.n, inst.edge_array)
     return states is not None
 
 
@@ -288,13 +288,10 @@ FORMAT_MAGIC = "QSAT2 v1"
 def format_instance(inst: Instance) -> str:
     """Render the line-oriented text form; parsing it back is bit-exact."""
     g = inst.graph
-    if g.lattice is None:
-        model, L = "er", 0
-    else:
-        model, L = f"lat{g.lattice.d}", g.lattice.L
+    L = 0 if g.lattice is None else g.lattice.L
     lines = [
         FORMAT_MAGIC,
-        f"n={g.n} m={g.m} f={inst.dist.f} model={model} L={L} "
+        f"n={g.n} m={g.m} f={inst.dist.f} model={g.model_tag()} L={L} "
         f"seed={inst.seed} cond={inst.conditioning} resamples={inst.resamples}",
     ]
     for i, fac in enumerate(inst.dist.factors):

@@ -1,12 +1,13 @@
 """Structural analysis: fixed states, frozen cores, decoupling.
 
 The fixed (frozen) states are exactly the 2-SAT backbone: the kernel states
-that every satisfying product assignment shares.  One engine solve decides
-satisfiability and yields a witness; the backbone is found by probing the
-witness's states with the engine's denial closure.  When the instance is
-unsatisfiable, the same solve names the clashing vertices, and with them
-the frustrated components.  Removing the frozen qubits leaves the residual
-components that `decouple` classifies and the counter counts one by one.
+that every satisfying product assignment shares.  One `twosat.solve`
+decides satisfiability and yields a witness; the backbone is found by
+probing the witness's states with the engine's denial closure.  When the
+instance is unsatisfiable, the same solve names the clashing vertices, and
+with them the frustrated components.  Removing the frozen qubits leaves the
+residual components that `decouple` classifies and the counter counts one
+by one.
 
 Only cyclic components reach the solve.  A tree component is always
 satisfiable, and its backbone is empty: a denial closure leaves its start
@@ -29,7 +30,7 @@ import numpy as np
 
 from .graphs import ComponentReport, Domino, FigureEight, components, vertex_components
 from .instances import Instance
-from .twosat import TwoSatEngine
+from .twosat import TwoSatEngine, solve
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,14 @@ def _backbone(
     # a component is cyclic when it has at least as many edges as vertices
     cyclic = np.asarray(rep.edge_counts) >= np.bincount(rep.labels, minlength=len(rep.components))
     edges = inst.edge_array
-    eng = TwoSatEngine(inst.n, edges[cyclic[rep.labels[edges[:, 0]]]])
-    witness, clashing = eng.solve()
+    witness, clashing = solve(inst.n, edges[cyclic[rep.labels[edges[:, 0]]]])
     if witness is None:
         return None, tuple(np.unique(rep.labels[clashing]).tolist())
     probes = [(v, h) for v, h in enumerate(witness) if h is not None]
-    if probes:
-        # the probes walk cyclic components only, whose edges the index lists
-        eng.incident = inst.incident
+    if not probes:
+        return {}, ()
+    # the probes walk cyclic components only, whose edges the index lists
+    eng = TwoSatEngine(inst.n, inst.incident)
     for v, h in probes:
         if eng.frozen[v] is None and eng.pinned_to(v, h):
             eng.freeze(v, h)

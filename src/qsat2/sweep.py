@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
-from .counting import ComponentCapError, RankBackendConfig, decomposition_value
+from .counting import ComponentCapError, check_component_cap, decomposition_value
 from .graphs import (
     check_vertex_count,
     enumerate_dominoes,
@@ -70,7 +70,7 @@ class SweepConfig:
         # everything a trial would reject, so a bad sweep fails before it runs
         if not all(math.isfinite(gv) and gv >= 0 for gv in self.grid):
             raise ValueError("grid values must be finite and non-negative")
-        check_vertex_count(self.n if self.model == "er" else self.L ** int(self.model[3]))
+        check_vertex_count(self.vertex_count)
         if self.model == "er":
             m, npairs = round(self.grid[-1] * self.n), self.n * (self.n - 1) // 2
             if m > npairs:
@@ -80,9 +80,14 @@ class SweepConfig:
                 )
         elif self.grid[-1] > 1:
             raise ValueError("lattice grid values are bond probabilities in [0, 1]")
-        component_cutoff(2, self.cutoff_c)
+        component_cutoff(self.vertex_count, self.cutoff_c)
         if self.value:
-            RankBackendConfig(max_component_qubits=self.max_component_qubits)
+            check_component_cap(self.max_component_qubits)
+
+    @property
+    def vertex_count(self) -> int:
+        """Vertices per instance: `n` for er, `L**d` for lattices."""
+        return self.n if self.model == "er" else self.L ** int(self.model[3])
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
     try:
         inst = generate_instance(**kwargs)
     except ResampleBudgetError:
-        n = cfg.n if cfg.model == "er" else cfg.L ** (2 if cfg.model == "lat2" else 3)
+        n = cfg.vertex_count
         return TrialRecord(gv, ti, tseed, n, 0, label="error:resample_budget")
     dec, core = analyze_instance(inst, cfg.cutoff_c)
     fig8 = dominoes = None
@@ -184,9 +189,8 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         dominoes = len(enumerate_dominoes(inst.graph))
     value = ""
     if cfg.value:
-        rank_cfg = RankBackendConfig(max_component_qubits=cfg.max_component_qubits)
         try:
-            value = str(decomposition_value(inst, dec, rank_cfg))
+            value = str(decomposition_value(inst, dec, cfg.max_component_qubits))
         except ComponentCapError as e:
             value = f"NA:{e.size}"
     return TrialRecord(

@@ -18,11 +18,12 @@ A query literal is infeasible exactly when its closure tries to give two
 different states to one vertex.  The closure records each vertex at most
 once (a second state at a vertex is the conflict that ends it), so one
 uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
-propagation is linear.  The full strongly-connected component solve is only
-for deciding the whole clause set at once.
+propagation is linear.  `TwoSatEngine` answers these queries over a
+per-vertex edge index.
 
-The full solve builds the literal graph in numpy from an (m, 4) edge array
-and hands it to scipy's strongly connected components.  The clause set is
+Deciding the whole clause set at once is `solve`, a function of the vertex
+count and an (m, 4) edge array.  It builds the literal graph in numpy and
+hands it to scipy's strongly connected components.  The clause set is
 unsatisfiable exactly when some variable shares a component with its
 negation, and the solve then names the vertices of every such variable.
 Each clash lies inside one connected component of the interaction graph:
@@ -56,37 +57,27 @@ CONFLICT = 1
 
 
 class TwoSatEngine:
-    """Edge store with entailment-aware reachability queries.
+    """Entailment-aware reachability queries over a per-vertex edge index.
 
-    `edges` holds the (u, v, h, j) rows the full solve reads and
-    `incident` the per-vertex index the queries read.  `TwoSatEngine(n)`
-    starts empty and `add_edge` grows both.  An engine given `edges` up
-    front (a sequence of rows or an (m, 4) integer array) answers queries
-    only once it has an index, passed in or assigned later.
+    `incident[v]` lists (other endpoint, factor on v's side, factor on the
+    other side) for every edge at v.  `TwoSatEngine(n)` starts with no
+    edges and `add_edge` grows the index; `TwoSatEngine(n, incident)`
+    queries a fixed index, such as `Instance.incident`.
 
     `frozen[v]` caches a factor index entailed for v by the current clause
     set.  Queries use it to stop early; callers must only freeze entailed
     states, and `freeze` keeps the cache closed under the BFS transition.
     """
 
-    __slots__ = ("n", "edges", "incident", "frozen")
+    __slots__ = ("incident", "frozen")
 
     def __init__(
-        self,
-        n: int,
-        edges: Optional[Sequence[tuple[int, int, int, int]] | np.ndarray] = None,
-        incident: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None,
+        self, n: int, incident: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None
     ):
-        if edges is None:
-            edges, incident = [], [[] for _ in range(n)]
-        self.n = n
-        self.edges = edges
-        # incident[v]: (other endpoint, factor on v's side, factor on other side)
-        self.incident = incident
+        self.incident = [[] for _ in range(n)] if incident is None else incident
         self.frozen: list[Optional[int]] = [None] * n
 
     def add_edge(self, u: int, v: int, h: int, j: int) -> None:
-        self.edges.append((u, v, h, j))
         self.incident[u].append((v, h, j))
         self.incident[v].append((u, j, h))
 
@@ -178,64 +169,65 @@ class TwoSatEngine:
         for v, s in visited.items():
             self.frozen[v] = s
 
-    # -- full solve ---------------------------------------------------------
 
-    def solve(self) -> tuple[Optional[list[Optional[int]]], list[int]]:
-        """Solve the full clause set.
+def solve(
+    n: int, edges: Sequence[tuple[int, int, int, int]] | np.ndarray
+) -> tuple[Optional[list[Optional[int]]], list[int]]:
+    """Solve the clause set of `n` vertices and the (u, v, h, j) rows `edges`.
 
-        Returns (states, clashing).  When the clause set is satisfiable,
-        states is one satisfying partial assignment (states[v] is a factor
-        index, or None when no edge needs v in a kernel state: any state
-        works there) and clashing is empty.  Otherwise states is None and
-        clashing lists, ascending, the vertices with a variable in its
-        negation's strongly connected component.
-        """
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 4)
-        m = len(edges)
-        if m == 0:
-            return [None] * self.n, []
-        u, v, h, j = edges.T
-        f = int(max(h.max(), j.max())) + 1
-        # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
-        # variables contiguous, at most f of them
-        keys, var = np.unique(np.concatenate((u * f + h, v * f + j)), return_inverse=True)
-        pu, pv = var[:m], var[m:]
-        vert = keys // f
-        # at most one kernel state per vertex: every pair of one vertex's
-        # variables sits at some shift below f
-        a_parts, b_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for d in range(1, f):
-            same = np.flatnonzero(vert[:-d] == vert[d:])
-            a_parts.append(same)
-            b_parts.append(same + d)
-        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+    Returns (states, clashing).  When the clause set is satisfiable,
+    states is one satisfying partial assignment (states[v] is a factor
+    index, or None when no edge needs v in a kernel state: any state
+    works there) and clashing is empty.  Otherwise states is None and
+    clashing lists, ascending, the vertices with a variable in its
+    negation's strongly connected component.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
+    m = len(edges)
+    if m == 0:
+        return [None] * n, []
+    u, v, h, j = edges.T
+    f = int(max(h.max(), j.max())) + 1
+    # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
+    # variables contiguous, at most f of them
+    keys, var = np.unique(np.concatenate((u * f + h, v * f + j)), return_inverse=True)
+    pu, pv = var[:m], var[m:]
+    vert = keys // f
+    # at most one kernel state per vertex: every pair of one vertex's
+    # variables sits at some shift below f
+    a_parts, b_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for d in range(1, f):
+        same = np.flatnonzero(vert[:-d] == vert[d:])
+        a_parts.append(same)
+        b_parts.append(same + d)
+    a, b = np.concatenate(a_parts), np.concatenate(b_parts)
 
-        # literal ids: positive 2i, negative 2i+1
-        src = np.concatenate((2 * pu + 1, 2 * pv + 1, 2 * a, 2 * b))
-        dst = np.concatenate((2 * pv, 2 * pu, 2 * b + 1, 2 * a + 1))
-        nlit = 2 * len(keys)
-        graph = csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
-        )
-        ncomp, labels = connected_components(graph, directed=True, connection="strong")
-        clash = labels[0::2] == labels[1::2]
-        if clash.any():
-            return None, np.unique(vert[clash]).tolist()
+    # literal ids: positive 2i, negative 2i+1
+    src = np.concatenate((2 * pu + 1, 2 * pv + 1, 2 * a, 2 * b))
+    dst = np.concatenate((2 * pv, 2 * pu, 2 * b + 1, 2 * a + 1))
+    nlit = 2 * len(keys)
+    graph = csr_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
+    )
+    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    clash = labels[0::2] == labels[1::2]
+    if clash.any():
+        return None, np.unique(vert[clash]).tolist()
 
-        # scipy's labels carry no order guarantee; order the condensation
-        # by (level, label) and take a literal as true when its component
-        # comes after its negation's
-        ca = labels[src].astype(np.int64)
-        cb = labels[dst].astype(np.int64)
-        cross = ca != cb
-        arcs = np.unique(ca[cross] * ncomp + cb[cross])
-        rank = _levels(ncomp, arcs // ncomp, arcs % ncomp) * ncomp + np.arange(ncomp)
-        lit_rank = rank[labels]
-        chosen = keys[lit_rank[0::2] > lit_rank[1::2]]
-        states: list[Optional[int]] = [None] * self.n
-        for w, s in zip((chosen // f).tolist(), (chosen % f).tolist()):
-            states[w] = s
-        return states, []
+    # scipy's labels carry no order guarantee; order the condensation
+    # by (level, label) and take a literal as true when its component
+    # comes after its negation's
+    ca = labels[src].astype(np.int64)
+    cb = labels[dst].astype(np.int64)
+    cross = ca != cb
+    arcs = np.unique(ca[cross] * ncomp + cb[cross])
+    rank = _levels(ncomp, arcs // ncomp, arcs % ncomp) * ncomp + np.arange(ncomp)
+    lit_rank = rank[labels]
+    chosen = keys[lit_rank[0::2] > lit_rank[1::2]]
+    states: list[Optional[int]] = [None] * n
+    for w, s in zip((chosen // f).tolist(), (chosen % f).tolist()):
+        states[w] = s
+    return states, []
 
 
 def _levels(ncomp: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:

@@ -22,9 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from qsat2.counting import (
-    DEFAULT_CONFIG,
     MOD_PRIMES,
-    RankBackendConfig,
     _constraint_blocks,
     _ExactField,
     _ModField,
@@ -43,7 +41,7 @@ from qsat2.graphs import (
 )
 from qsat2.instances import FactorDistribution, Instance, satisfiable
 from qsat2.structure import Decomposition, FrozenSubgraph, component_cutoff, decouple
-from qsat2.twosat import TwoSatEngine
+from qsat2.twosat import TwoSatEngine, solve
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -192,15 +190,12 @@ def reference_echelon_rank(rows, field, basis_out: Optional[dict] = None) -> int
 
 
 def reference_component_rank(
-    inst: Instance,
-    component: Sequence[int],
-    config: RankBackendConfig,
-    frozen: Optional[dict] = None,
+    inst: Instance, component: Sequence[int], frozen: Optional[dict] = None
 ) -> int:
-    """`counting.component_rank` over the full-scan rows, one row at a time.
+    """`counting._verified_rank` over the full-scan rows, one row at a time.
 
-    The same verification: every configured prime must agree, and a clash
-    or a disagreement settles the rank exactly.
+    The same verification: both primes must agree, and a clash or a
+    disagreement settles the rank exactly.
     """
 
     def exact() -> int:
@@ -208,10 +203,8 @@ def reference_component_rank(
             reference_constraint_rows(inst, component, frozen), _ExactField()
         )
 
-    if config.mode == "exact_rational":
-        return exact()
     ranks = []
-    for p in MOD_PRIMES[: config.verify_primes]:
+    for p in MOD_PRIMES:
         try:
             ranks.append(
                 reference_echelon_rank(
@@ -265,13 +258,13 @@ def reference_kernel_basis(
     return _kernel_from_rows(reference_constraint_rows(inst, component), len(component))
 
 
-def raw_instance_value(inst: Instance, config: RankBackendConfig = DEFAULT_CONFIG) -> int:
+def raw_instance_value(inst: Instance) -> int:
     """Ground-space dimension over the raw connected components, nothing
     frozen removed first; 0 iff frustrated."""
     if not satisfiable(inst):
         return 0
     return product_tree(
-        [component_value(inst, comp, config) for comp in components(inst.graph).components]
+        [component_value(inst, comp) for comp in components(inst.graph).components]
     )
 
 
@@ -534,7 +527,7 @@ def naive_frustration_free(
             h = sample_factor(dist, rng)
             j = sample_factor(dist, rng)
             trial = chosen + [(u, v, h, j)]
-            if TwoSatEngine(g.n, trial).solve()[0] is not None:
+            if solve(g.n, trial)[0] is not None:
                 pairs[idx] = (h, j)
                 chosen = trial
                 break
@@ -591,9 +584,9 @@ def chain_survival_bruteforce(q: Sequence[Fraction], ell: int) -> Fraction:
 def reference_solve(
     n: int, edges: Sequence[tuple[int, int, int, int]]
 ) -> tuple[Optional[list[Optional[int]]], list[int]]:
-    """`TwoSatEngine.solve` with Python lists: literal ids by first appearance,
+    """`twosat.solve` with Python lists: literal ids by first appearance,
     explicit arc lists and a Kahn sort of the condensation.  Returns (states,
-    clashing) as the engine does."""
+    clashing) as `solve` does."""
     var_of: dict[tuple[int, int], int] = {}
 
     def vid(v: int, s: int) -> int:
@@ -824,8 +817,8 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
 
 
 def instance_engine(inst: Instance) -> TwoSatEngine:
-    """An engine over every edge: its solve and its queries see the same clauses."""
-    return TwoSatEngine(inst.n, inst.edge_array, inst.incident)
+    """An engine whose queries see every edge of the instance."""
+    return TwoSatEngine(inst.n, inst.incident)
 
 
 def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
@@ -835,7 +828,7 @@ def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
     state always exists because the factor table is finite.  Returns None
     when the instance is unsatisfiable.
     """
-    states, _ = TwoSatEngine(inst.n, inst.edge_array).solve()
+    states, _ = solve(inst.n, inst.edge_array)
     return states
 
 
@@ -946,7 +939,7 @@ class FrustrationCertificate:
 
     kind "loop": the option sets at `vertex` admit no common state.
     kind "twosat": no loop explanation was found; `vertex` is the smallest
-    vertex of the first component that clashes in the engine solve.
+    vertex of the first component that clashes in the one `solve`.
     """
 
     kind: str

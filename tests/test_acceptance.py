@@ -26,7 +26,7 @@ from qsat2.stats import (
 )
 from qsat2.structure import domino_frustrated, figure_eight_frustrated, fixed_states
 from qsat2.sweep import SweepConfig, generate_instance, run_sweep
-from qsat2.twosat import TwoSatEngine
+from qsat2.twosat import solve
 
 import conftest
 from oracles import (
@@ -247,7 +247,7 @@ def test_criterion_06_domino_statistics():
             (local[u], local[v], combo[2 * i], combo[2 * i + 1])
             for i, (u, v) in enumerate(dom_edges)
         ]
-        if TwoSatEngine(len(verts), edges).solve()[0] is None:
+        if solve(len(verts), edges)[0] is None:
             unsat_assignments += 1
     p_dom = unsat_assignments / 4**7
     assert p_dom == float(domino_frustration_probability(dist))

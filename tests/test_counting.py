@@ -10,12 +10,14 @@ import qsat2.counting as counting
 from qsat2.counting import (
     MOD_PRIMES,
     ComponentCapError,
-    RankBackendConfig,
     _constraint_blocks,
+    _exact_rank,
     _ModField,
     _PrimeClash,
-    component_rank,
+    _verified_rank,
+    check_component_cap,
     component_value,
+    decomposition_value,
     instance_value,
     product_tree,
 )
@@ -36,8 +38,6 @@ from oracles import (
     reference_constraint_rows,
     reference_kernel_basis,
 )
-
-EXACT = RankBackendConfig(mode="exact_rational")
 
 
 def inst_of(n, edges, pairs, f):
@@ -86,8 +86,8 @@ def test_two_disjoint_edges():
     assert dense_instance_value(inst) == 9
     assert instance_value(inst) == 9
     # and the per-component route gives 3 * 3
-    assert component_value(inst, (0, 1), EXACT) == 3
-    assert component_value(inst, (2, 3), EXACT) == 3
+    assert component_value(inst, (0, 1)) == 3
+    assert component_value(inst, (2, 3)) == 3
 
 
 def test_frustrated_instance_value_zero():
@@ -119,11 +119,11 @@ def test_modular_exact_and_dense_ranks_agree(seed):
     g = sample_er_graph(7, 9, seed=seed)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
     for comp in components(g).components:
-        exact = component_rank(inst, comp, EXACT)
-        modular = component_rank(inst, comp, RankBackendConfig(mode="modular"))
+        exact = _exact_rank(inst, comp)
+        verified = _verified_rank(inst, comp)
         k = len(comp)
         dense = 2**k - dense_component_value(inst, comp)
-        assert exact == modular == dense
+        assert exact == verified == dense
 
 
 def test_diagonal_instances_count_basis_states():
@@ -206,8 +206,6 @@ def test_constraint_rows_reject_an_unfrozen_crossing(model, f, cond, seed):
 
 # --- the block-wise rank against the row-by-row reference -----------------
 
-MODULAR = RankBackendConfig(mode="modular")
-
 
 def _ordered(basis):
     # key order too, so the comparison is byte-for-byte
@@ -221,14 +219,14 @@ def test_rank_and_kernel_match_row_by_row_reference(model, f, cond, seed):
     dec = decouple(inst)
     for comp in dec.residual_components:
         if len(comp) <= _ROWS_MAX_K:
-            for cfg in (MODULAR, EXACT):
-                assert component_rank(inst, comp, cfg, dec.frozen) == reference_component_rank(
-                    inst, comp, cfg, dec.frozen
-                )
+            ref = reference_component_rank(inst, comp, dec.frozen)
+            assert _verified_rank(inst, comp, dec.frozen) == ref
+            assert _exact_rank(inst, comp, dec.frozen) == ref
     for comp in dec.report.components:
         if len(comp) <= _ROWS_MAX_K:
-            for cfg in (MODULAR, EXACT):
-                assert component_rank(inst, comp, cfg) == reference_component_rank(inst, comp, cfg)
+            ref = reference_component_rank(inst, comp)
+            assert _verified_rank(inst, comp) == ref
+            assert _exact_rank(inst, comp) == ref
             assert _ordered(kernel_basis(inst, comp)) == _ordered(reference_kernel_basis(inst, comp))
 
 
@@ -240,8 +238,7 @@ def test_two_qubit_component_is_one_row():
     entries, mask = blocks[0]
     assert mask == 0 and len(entries) == 4
     assert list(block_rows(blocks)) == list(reference_constraint_rows(inst, (0, 1)))
-    for cfg in (MODULAR, EXACT):
-        assert component_rank(inst, (0, 1), cfg) == 1
+    assert _verified_rank(inst, (0, 1)) == _exact_rank(inst, (0, 1)) == 1
     assert _ordered(kernel_basis(inst, (0, 1))) == _ordered(reference_kernel_basis(inst, (0, 1)))
 
 
@@ -267,7 +264,7 @@ def test_prime_clash_escalates_to_exact(monkeypatch):
     comp = (0, 1, 2)
     exact = counting._exact_rank(inst, comp)
     calls = _spy_exact_rank(monkeypatch)
-    assert component_rank(inst, comp, MODULAR) == exact
+    assert _verified_rank(inst, comp) == exact
     assert len(calls) == 1
     assert exact == 2**3 - dense_component_value(inst, comp)
 
@@ -276,7 +273,7 @@ def test_prime_disagreement_escalates_to_exact(monkeypatch):
     g = sample_er_graph(8, 10, seed=4)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=4)
     comp = max(components(g).components, key=len)
-    true_rank = component_rank(inst, comp, EXACT)
+    true_rank = _exact_rank(inst, comp)
     assert true_rank > 0
     real = counting._echelon_rank
 
@@ -286,7 +283,7 @@ def test_prime_disagreement_escalates_to_exact(monkeypatch):
 
     monkeypatch.setattr(counting, "_echelon_rank", skewed)
     calls = _spy_exact_rank(monkeypatch)
-    assert component_rank(inst, comp, MODULAR) == true_rank
+    assert _verified_rank(inst, comp) == true_rank
     assert len(calls) == 1
 
 
@@ -316,7 +313,7 @@ def test_kernel_basis_spans_and_annihilates():
         inst = sample_instance(g, FactorDistribution.uniform(2), seed=seed)
         for comp in components(g).components:
             basis = kernel_basis(inst, comp)
-            assert len(basis) == component_value(inst, comp, EXACT)
+            assert len(basis) == component_value(inst, comp)
             rows = list(block_rows(_constraint_blocks(inst, comp)))
             for vec in basis:
                 assert vec  # nonzero
@@ -337,24 +334,30 @@ def test_mod_primes_are_suitable():
         assert pow(2, p - 1, p) == 1  # Fermat sanity
 
 
-def test_backend_config_validation():
-    with pytest.raises(ValueError):
-        RankBackendConfig(mode="floating")
-    with pytest.raises(ValueError):
-        RankBackendConfig(verify_primes=0)
-    with pytest.raises(ValueError):
-        RankBackendConfig(verify_primes=len(MOD_PRIMES) + 1)
-    with pytest.raises(ValueError):
-        RankBackendConfig(max_component_qubits=0)
+def test_component_cap_validation():
+    inst = inst_of(2, [(0, 1)], [(0, 1)], 2)
+    # a frustrated K4: the cap is checked before the label is read
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    frustrated = inst_of(4, k4, [(0, 0), (0, 0), (1, 0), (1, 1), (0, 1), (0, 1)], 2)
+    assert instance_value(frustrated) == 0
+    check_component_cap(1)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="component cap must be positive"):
+            check_component_cap(cap)
+        with pytest.raises(ValueError, match="component cap must be positive"):
+            component_value(inst, (0, 1), cap)
+        with pytest.raises(ValueError, match="component cap must be positive"):
+            instance_value(inst, cap)
+        with pytest.raises(ValueError, match="component cap must be positive"):
+            decomposition_value(frustrated, decouple(frustrated), cap)
 
 
 def test_component_cap():
     g = sample_er_graph(20, 30, seed=1)
     inst = sample_instance(g, FactorDistribution.uniform(2), seed=1)
     comp = max(components(g).components, key=len)
-    cfg = RankBackendConfig(max_component_qubits=4)
     with pytest.raises(ComponentCapError) as ei:
-        component_value(inst, comp, cfg)
+        component_value(inst, comp, 4)
     err = ei.value
     assert err.size == len(comp) and err.cap == 4
     assert err.component == tuple(comp)
@@ -365,7 +368,7 @@ def test_instance_value_cap_escalates():
     inst = sample_instance(g, FactorDistribution.uniform(4), seed=3)
     if satisfiable(inst):
         with pytest.raises(ComponentCapError):
-            instance_value(inst, RankBackendConfig(max_component_qubits=3))
+            instance_value(inst, 3)
 
 
 def test_product_tree():

@@ -1,6 +1,6 @@
 """One whole-instance 2-SAT solve and one components pass per instance.
 
-Deciding, freezing and decoupling share a single engine solve, and every
+Deciding, freezing and decoupling share a single 2-SAT `solve`, and every
 consumer (the counter, the sweep, the CLI) reads the decomposition that
 `decouple` built instead of deciding the instance again.  On a frustrated
 instance the same solve names the frustrated components.  Code that needs
@@ -16,40 +16,48 @@ import qsat2
 import qsat2.cli
 import qsat2.counting
 import qsat2.graphs
+import qsat2.instances
 import qsat2.structure
 import qsat2.sweep
+import qsat2.twosat
 from qsat2.cli import main
 from qsat2.counting import decomposition_value, instance_value
 from qsat2.instances import FactorDistribution, Instance, save_instance, satisfiable
 from qsat2.structure import decouple
 from qsat2.sweep import generate_instance, parse_config, run_sweep
-from qsat2.twosat import TwoSatEngine
 
 import oracles
 
-_MODULES = (qsat2, qsat2.graphs, qsat2.structure, qsat2.counting, qsat2.sweep, qsat2.cli)
+_MODULES = (
+    qsat2,
+    qsat2.twosat,
+    qsat2.graphs,
+    qsat2.instances,
+    qsat2.structure,
+    qsat2.counting,
+    qsat2.sweep,
+    qsat2.cli,
+)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count engine solves and component passes."""
+    """Count 2-SAT solves and component passes."""
     seen = {"solve": 0, "components": 0}
-    solve = TwoSatEngine.solve
-    components = qsat2.graphs.components
+    originals = {"solve": qsat2.twosat.solve, "components": qsat2.graphs.components}
 
-    def counted_solve(self):
-        seen["solve"] += 1
-        return solve(self)
+    def counted(name):
+        def wrapper(*args):
+            seen[name] += 1
+            return originals[name](*args)
 
-    def counted_components(g):
-        seen["components"] += 1
-        return components(g)
+        return wrapper
 
-    monkeypatch.setattr(TwoSatEngine, "solve", counted_solve)
     # `from .graphs import components` copies the binding into each importer
-    for mod in _MODULES:
-        if getattr(mod, "components", None) is components:
-            monkeypatch.setattr(mod, "components", counted_components)
+    for name, original in originals.items():
+        for mod in _MODULES:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(name))
     return seen
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsat2.counting import RankBackendConfig, component_value, instance_value
+import qsat2.structure as structure
+from qsat2.counting import instance_value
 from qsat2.graphs import (
     Graph,
     components,
@@ -26,7 +27,6 @@ from qsat2.structure import (
 
 from qsat2.seeding import derive_trial_seed
 from qsat2.sweep import generate_instance
-from qsat2.twosat import TwoSatEngine
 
 from oracles import (
     brute_force_backbone,
@@ -41,8 +41,6 @@ from oracles import (
     reference_frozen_subgraph,
     vertex_options,
 )
-
-EXACT = RankBackendConfig(mode="exact_rational")
 
 
 def inst_of(n, edges, pairs, f):
@@ -61,7 +59,7 @@ def test_alternating_triangle_option_set():
     for v in range(3):
         assert opts[v] == [frozenset({0, 1})]
     assert satisfiable(inst)
-    assert instance_value(inst, EXACT) == 2
+    assert instance_value(inst) == 2
 
 
 def test_tree_has_no_option_sets():
@@ -122,7 +120,7 @@ def test_figure_eight_frustration_cases():
     b = [(2, 3), (2, 3), (3, 2)]
     unsat = build_figure_eight(a, b)
     assert not satisfiable(unsat)
-    assert instance_value(unsat, EXACT) == 0
+    assert instance_value(unsat) == 0
     cert = frustration_certificate(unsat)
     assert cert is not None and cert.kind == "loop" and cert.vertex == 0
 
@@ -132,7 +130,7 @@ def test_figure_eight_frustration_cases():
     assert satisfiable(sat)
     frozen = fixed_states(sat)
     assert frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-    assert instance_value(sat, EXACT) == 1
+    assert instance_value(sat) == 1
 
 
 def test_certificate_three_cycles_pairwise_consistent():
@@ -157,7 +155,6 @@ def test_certificate_three_cycles_pairwise_consistent():
 
 
 def test_fixed_states_sound():
-    cfg = EXACT
     for seed in range(30):
         g = sample_er_graph(9, 11, seed=seed)
         inst = sample_instance(g, FactorDistribution.uniform(2), seed=seed)
@@ -347,13 +344,13 @@ def test_forest_never_reaches_the_solve(n, f, data):
     order = sorted(range(len(edges)), key=edges.__getitem__)
     inst = inst_of(n, [edges[i] for i in order], [pairs[i] for i in order], f)
     seen = []
-    solve = TwoSatEngine.solve
+    solve = structure.solve
 
-    def spy(self):
-        seen.append(len(self.edges))
-        return solve(self)
+    def spy(n, edges):
+        seen.append(len(edges))
+        return solve(n, edges)
 
-    with mock.patch.object(TwoSatEngine, "solve", spy):
+    with mock.patch.object(structure, "solve", spy):
         dec = decouple(inst)
     assert seen == [0]
     assert dec.frozen == {} == reference_backbone(inst)

@@ -160,10 +160,18 @@ def test_error_rows_skipped_in_summary():
     lines = out.strip().split("\n")
     data = [ln.split(",") for ln in lines[1:4]]
     assert data[1][10] == "error:resample_budget"
-    assert data[1][5] == ""
+    assert data[1][3] == "20" and data[1][5] == ""
     summary = lines[4].split(",")
     good = [data[0], data[2]]
     assert summary[5] == f"{sum(int(r[5]) for r in good) / 2:.6f}"
+
+
+@pytest.mark.parametrize(
+    "model, size, count", [("er", "n=20", 20), ("lat2", "L=6", 36), ("lat3", "L=4", 64)]
+)
+def test_vertex_count_per_model(model, size, count):
+    cfg = parse_config(f"model={model}\n{size}\ngrid=0.5\ntrials=1\nf=2\n")
+    assert cfg.vertex_count == count
 
 
 def test_lattice_sweep_has_domino_column():
@@ -220,6 +228,11 @@ INVALID_SWEEPS = {
         "cap",
     ),
     "cutoff_inf": ("model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=inf\n", "cutoff_c"),
+    # finite times log2 2, infinite times log2 50: checked at the sweep's own n
+    "cutoff_overflow_at_n": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=1e308\n",
+        "cutoff_c",
+    ),
     "cutoff_nan": ("model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncutoff_c=nan\n", "cutoff_c"),
     "cutoff_negative": ("model=lat2\nL=4\ngrid=0.5\ntrials=2\nf=2\ncutoff_c=-1\n", "cutoff_c"),
     "bad_boolean": (

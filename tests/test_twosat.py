@@ -4,13 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsat2.twosat import TwoSatEngine
+from qsat2.twosat import TwoSatEngine, solve
 
 from oracles import UnionFind, brute_force_kernel_assignment, reference_pinned_to, reference_solve
-
-
-def solve(n, edges):
-    return TwoSatEngine(n, edges).solve()
 
 
 @st.composite
