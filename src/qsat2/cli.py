@@ -1,7 +1,8 @@
 """Command line surface: gen / analyze / count / predict / xi / sweep.
 
 Exit codes: 0 success, 1 standard output closed early, 2 usage error, 3
-instance parse error, 4 component over the size cap (count only).
+instance parse error or a file that cannot be opened, read or written, 4
+component over the size cap (count only).
 """
 
 from __future__ import annotations
@@ -25,22 +26,22 @@ from .instances import (
 )
 from .stats import functionals, thresholds, xi
 from .structure import decouple, phase_label
-from .sweep import _convert, analyze_instance, generate_instance, parse_config, run_sweep
+from .sweep import (
+    analyze_instance,
+    generate_instance,
+    parse_config,
+    read_cond,
+    read_distribution,
+    run_sweep,
+)
 
 
-def _build_dist(f: Optional[int], q: str) -> FactorDistribution:
-    if q == "uniform":
-        if not f:
-            raise ValueError("--q uniform requires --f")
-        return FactorDistribution.uniform(f)
-    weights = [_convert("--q", Fraction, tok) for tok in q.split(",")]
-    if f is not None and f != len(weights):
-        raise ValueError("--f disagrees with the length of --q")
-    return FactorDistribution.from_weights(weights)
+def _build_dist(args) -> FactorDistribution:
+    return read_distribution(args.f, args.q, lambda key: f"--{key}")
 
 
 def _cmd_gen(args) -> int:
-    dist = _build_dist(args.f, args.q)
+    dist = _build_dist(args)
     if args.model == "er":
         if args.n is None or args.m is None:
             raise ValueError("er generation requires --n and --m")
@@ -49,9 +50,8 @@ def _cmd_gen(args) -> int:
         if args.L is None or args.p is None:
             raise ValueError("lattice generation requires --L and --p")
         kwargs = dict(L=args.L, p=args.p)
-    cond = "free" if args.cond == "ff" else args.cond
     inst = generate_instance(
-        model=args.model, dist=dist, seed=args.seed, cond=cond, **kwargs
+        model=args.model, dist=dist, seed=args.seed, cond=read_cond(args.cond), **kwargs
     )
     if args.out:
         save_instance(inst, args.out)
@@ -109,7 +109,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    dist = _build_dist(args.f, args.q)
+    dist = _build_dist(args)
     fn = functionals(dist)
     rep = thresholds(dist, model=args.model, n=args.n, gamma=args.gamma, p=args.p)
 
@@ -221,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ComponentCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (InstanceParseError, FileNotFoundError) as e:
+    except (InstanceParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, ResampleBudgetError, KeyError) as e:

@@ -193,8 +193,7 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
 
 
 def satisfiable(inst: Instance) -> bool:
-    states, _ = solve(inst.n, inst.edge_array)
-    return states is not None
+    return not solve(inst.n, inst.edge_array)
 
 
 RESAMPLE_BUDGET = 10_000
@@ -408,4 +407,8 @@ def save_instance(inst: Instance, path: str) -> None:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InstanceParseError(f"non-ASCII byte at offset {e.start}") from None
+    return parse_instance(text)

@@ -2,12 +2,13 @@
 
 The fixed (frozen) states are exactly the 2-SAT backbone: the kernel states
 that every satisfying product assignment shares.  One `twosat.solve`
-decides satisfiability and yields a witness; the backbone is found by
-probing the witness's states with the engine's denial closure.  When the
-instance is unsatisfiable, the same solve names the clashing vertices, and
-with them the frustrated components.  Removing the frozen qubits leaves the
-residual components that `decouple` classifies and the counter counts one
-by one.
+decides satisfiability; when the instance is unsatisfiable, it names the
+clashing vertices, and with them the frustrated components.  Otherwise the
+backbone is found by probing each variable x[v,h] of the clause set, one
+per side of an edge, with the engine's denial closure: a state (v, h) that
+no edge at v carries on v's side has a denial closure with no start, which
+cannot collapse.  Removing the frozen qubits leaves the residual components
+that `decouple` classifies and the counter counts one by one.
 
 Only cyclic components reach the solve.  A tree component is always
 satisfiable, and its backbone is empty: a denial closure leaves its start
@@ -64,25 +65,30 @@ def _backbone(
     `rep.components` of the components whose vertices clash in the solve.
     `rep` is the component report of the instance's graph.  Only the edges
     of its cyclic components go to the one full solve: tree components are
-    satisfiable with an empty backbone (see the module docstring).  An
-    entailed state is true in every satisfying assignment, so in particular
-    in the witness: only the witness's states need probing.  A state (v, h)
-    is entailed exactly when the closure of its denial reaches (v, h).  Each
-    entailed state is frozen with its closure, so later probes stop early
-    at frozen states.
+    satisfiable with an empty backbone (see the module docstring).  A state
+    (v, h) is entailed exactly when the closure of its denial collapses.
+    That closure starts at the far ends of v's edges that carry factor h on
+    v's side, so only the variables x[v,h] of the cyclic clause set, the
+    two sides of its edges, can be entailed, and those are the states
+    probed.  Each entailed state is frozen with its closure, so later
+    probes stop early at frozen states, and a frozen vertex is not probed
+    again.
     """
     # a component is cyclic when it has at least as many edges as vertices
     cyclic = np.asarray(rep.edge_counts) >= np.bincount(rep.labels, minlength=len(rep.components))
     edges = inst.edge_array
-    witness, clashing = solve(inst.n, edges[cyclic[rep.labels[edges[:, 0]]]])
-    if witness is None:
+    edges = edges[cyclic[rep.labels[edges[:, 0]]]]
+    clashing = solve(inst.n, edges)
+    if clashing:
         return None, tuple(np.unique(rep.labels[clashing]).tolist())
-    probes = [(v, h) for v, h in enumerate(witness) if h is not None]
-    if not probes:
+    if not len(edges):
         return {}, ()
+    # the key v*f + h of x[v,h] for both sides of every edge, ascending
+    f = inst.dist.f
+    keys = np.unique(edges[:, :2] * f + edges[:, 2:])
     # the probes walk cyclic components only, whose edges the index lists
     eng = TwoSatEngine(inst.n, inst.incident)
-    for v, h in probes:
+    for v, h in zip((keys // f).tolist(), (keys % f).tolist()):
         if eng.frozen[v] is None and eng.pinned_to(v, h):
             eng.freeze(v, h)
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}, ()

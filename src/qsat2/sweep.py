@@ -11,7 +11,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .counting import ComponentCapError, check_component_cap, decomposition_value
 from .graphs import (
@@ -37,6 +37,10 @@ from .structure import (
     frozen_subgraph,
 )
 
+MODELS = ("er", "lat2", "lat3")
+CONDITIONINGS = ("any", "free")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     model: str
@@ -53,7 +57,7 @@ class SweepConfig:
     value: bool = False
 
     def __post_init__(self):
-        if self.model not in ("er", "lat2", "lat3"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "er" and self.n < 1:
             raise ValueError("er sweeps need n >= 1")
@@ -65,7 +69,7 @@ class SweepConfig:
             raise ValueError("empty grid")
         if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must increase strictly")
-        if self.cond not in ("any", "free"):
+        if self.cond not in CONDITIONINGS:
             raise ValueError("cond must be 'any' or 'free'")
         # everything a trial would reject, so a bad sweep fails before it runs
         if not all(math.isfinite(gv) and gv >= 0 for gv in self.grid):
@@ -141,8 +145,13 @@ def generate_instance(
     """Build graph and factors from one master seed via separate streams.
 
     The instance's recorded seed is the master, so a saved file regenerates
-    bit-identically from it.
+    bit-identically from it.  `model` is one of `MODELS` and `cond` one of
+    `CONDITIONINGS`.
     """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if cond not in CONDITIONINGS:
+        raise ValueError(f"unknown conditioning {cond!r}")
     gseed = stream_seed(seed, GRAPH_STREAM)
     fseed = stream_seed(seed, FACTOR_STREAM)
     if model == "er":
@@ -253,6 +262,30 @@ def _convert(name: str, kind, text: str):
         raise ValueError(msg) from None
 
 
+def read_distribution(
+    f: Optional[int], q: str, name: Callable[[str], str]
+) -> FactorDistribution:
+    """The factor distribution that a factor count `f` and a `q` setting give.
+
+    `q` is "uniform", which needs f of at least 1, or a comma list of
+    weights, whose length f must equal when given.  `name(key)` spells the
+    setting `key` ("f" or "q") in error messages.
+    """
+    if q == "uniform":
+        if f is None or f < 1:
+            raise ValueError(f"{name('q')} uniform needs {name('f')} of at least 1")
+        return FactorDistribution.uniform(f)
+    weights = [_convert(name("q"), Fraction, tok) for tok in q.split(",")]
+    if f is not None and f != len(weights):
+        raise ValueError(f"{name('f')} is {f}, but q lists {len(weights)} weights")
+    return FactorDistribution.from_weights(weights)
+
+
+def read_cond(text: str) -> str:
+    """The conditioning a setting names: "ff" spells "free"."""
+    return "free" if text == "ff" else text
+
+
 _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
@@ -289,20 +322,9 @@ def parse_config(text: str) -> SweepConfig:
     )
     trials = number("trials", int, "1")
     seed = number("seed", int, "0")
-    qspec = take("q", "uniform")
-    if qspec == "uniform":
-        dist = FactorDistribution.uniform(number("f", int, "0"))
-    else:
-        weights = [_convert("config key 'q'", Fraction, tok) for tok in qspec.split(",")]
-        fspec = take("f")
-        if fspec is not None and _convert("config key 'f'", int, fspec) != len(weights):
-            raise ValueError(
-                f"config key 'f' is {fspec.strip()}, but q lists {len(weights)} weights"
-            )
-        dist = FactorDistribution.from_weights(weights)
-    cond = take("cond", "any")
-    if cond == "ff":
-        cond = "free"
+    fspec = take("f")
+    f = None if fspec is None else _convert("config key 'f'", int, fspec)
+    dist = read_distribution(f, take("q", "uniform"), lambda key: f"config key {key!r}")
     cfg = SweepConfig(
         model=model,
         grid=grid,
@@ -311,7 +333,7 @@ def parse_config(text: str) -> SweepConfig:
         n=number("n", int, "0"),
         L=number("L", int, "0"),
         seed=seed,
-        cond=cond,
+        cond=read_cond(take("cond", "any")),
         cutoff_c=number("cutoff_c", float, "3.0"),
         max_component_qubits=number("max_component_qubits", int, "16"),
         fig8_l3=flag("fig8_l3"),

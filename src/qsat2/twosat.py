@@ -33,15 +33,6 @@ two graph components.  The literal graph of a graph component's own clauses
 is the whole literal graph restricted to that component, so the component
 is unsatisfiable exactly when one of its vertices clashes: the clashing
 vertices name the frustrated components.
-
-On a satisfiable clause set a literal is true when its component comes
-after its negation's in a topological order of the condensation.  Any
-linear extension of the condensation order gives a satisfying assignment
-(Aspvall, Plass and Tarjan 1979): a violated clause (a or b) would need
-a before not-a and b before not-b, while the arcs not-a -> b and not-b -> a
-put not-a no later than b and not-b no later than a, a cycle in a linear
-order.  The solve orders components by (Kahn level, component label), which
-is such an extension, so the witness needs no Python loop over the arcs.
 """
 
 from __future__ import annotations
@@ -170,22 +161,18 @@ class TwoSatEngine:
             self.frozen[v] = s
 
 
-def solve(
-    n: int, edges: Sequence[tuple[int, int, int, int]] | np.ndarray
-) -> tuple[Optional[list[Optional[int]]], list[int]]:
-    """Solve the clause set of `n` vertices and the (u, v, h, j) rows `edges`.
+def solve(n: int, edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
+    """Clashing vertices of the clause set of `n` vertices and the (u, v, h, j)
+    rows `edges`.
 
-    Returns (states, clashing).  When the clause set is satisfiable,
-    states is one satisfying partial assignment (states[v] is a factor
-    index, or None when no edge needs v in a kernel state: any state
-    works there) and clashing is empty.  Otherwise states is None and
-    clashing lists, ascending, the vertices with a variable in its
-    negation's strongly connected component.
+    Returns, ascending, the vertices with a variable in its negation's
+    strongly connected component.  The list is empty exactly when the
+    clause set is satisfiable.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
     m = len(edges)
     if m == 0:
-        return [None] * n, []
+        return []
     u, v, h, j = edges.T
     f = int(max(h.max(), j.max())) + 1
     # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
@@ -209,48 +196,5 @@ def solve(
     graph = csr_matrix(
         (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
     )
-    ncomp, labels = connected_components(graph, directed=True, connection="strong")
-    clash = labels[0::2] == labels[1::2]
-    if clash.any():
-        return None, np.unique(vert[clash]).tolist()
-
-    # scipy's labels carry no order guarantee; order the condensation
-    # by (level, label) and take a literal as true when its component
-    # comes after its negation's
-    ca = labels[src].astype(np.int64)
-    cb = labels[dst].astype(np.int64)
-    cross = ca != cb
-    arcs = np.unique(ca[cross] * ncomp + cb[cross])
-    rank = _levels(ncomp, arcs // ncomp, arcs % ncomp) * ncomp + np.arange(ncomp)
-    lit_rank = rank[labels]
-    chosen = keys[lit_rank[0::2] > lit_rank[1::2]]
-    states: list[Optional[int]] = [None] * n
-    for w, s in zip((chosen // f).tolist(), (chosen % f).tolist()):
-        states[w] = s
-    return states, []
-
-
-def _levels(ncomp: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Longest-path depth from the sources of each node of a DAG.
-
-    Arcs tail -> head, distinct and sorted by tail.  Kahn's algorithm runs
-    one frontier at a time, so every arc climbs at least one level.
-    """
-    indptr = np.searchsorted(tail, np.arange(ncomp + 1))
-    indeg = np.bincount(head, minlength=ncomp)
-    level = np.zeros(ncomp, dtype=np.int64)
-    frontier = np.flatnonzero(indeg == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        lo = indptr[frontier]
-        width = indptr[frontier + 1] - lo
-        total = int(width.sum())
-        # the out-arcs of every frontier node, as positions into `head`
-        pos = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(total)
-        nxt, hits = np.unique(head[pos], return_counts=True)
-        indeg[nxt] -= hits
-        frontier = nxt[indeg[nxt] == 0]
-        depth += 1
-    return level
-
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    return np.unique(vert[labels[0::2] == labels[1::2]]).tolist()

@@ -527,7 +527,7 @@ def naive_frustration_free(
             h = sample_factor(dist, rng)
             j = sample_factor(dist, rng)
             trial = chosen + [(u, v, h, j)]
-            if solve(g.n, trial)[0] is not None:
+            if not solve(g.n, trial):
                 pairs[idx] = (h, j)
                 chosen = trial
                 break
@@ -584,9 +584,11 @@ def chain_survival_bruteforce(q: Sequence[Fraction], ell: int) -> Fraction:
 def reference_solve(
     n: int, edges: Sequence[tuple[int, int, int, int]]
 ) -> tuple[Optional[list[Optional[int]]], list[int]]:
-    """`twosat.solve` with Python lists: literal ids by first appearance,
-    explicit arc lists and a Kahn sort of the condensation.  Returns (states,
-    clashing) as `solve` does."""
+    """`twosat.solve` with Python lists, literal ids by first appearance and
+    explicit arc lists, plus a witness from a Kahn sort of the condensation.
+    Returns (states, clashing): clashing is what `solve` returns, and states
+    is one satisfying partial assignment (a factor index per vertex, None
+    where any state works), or None when clashing is not empty."""
     var_of: dict[tuple[int, int], int] = {}
 
     def vid(v: int, s: int) -> int:
@@ -828,7 +830,7 @@ def product_witness(inst: Instance) -> Optional[list[Optional[int]]]:
     state always exists because the factor table is finite.  Returns None
     when the instance is unsatisfiable.
     """
-    states, _ = solve(inst.n, inst.edge_array)
+    states, _ = reference_solve(inst.n, inst.edge_array.tolist())
     return states
 
 

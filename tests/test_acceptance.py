@@ -247,7 +247,7 @@ def test_criterion_06_domino_statistics():
             (local[u], local[v], combo[2 * i], combo[2 * i + 1])
             for i, (u, v) in enumerate(dom_edges)
         ]
-        if solve(len(verts), edges)[0] is None:
+        if solve(len(verts), edges):
             unsat_assignments += 1
     p_dom = unsat_assignments / 4**7
     assert p_dom == float(domino_frustration_probability(dist))

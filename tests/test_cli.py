@@ -277,6 +277,21 @@ def test_bad_q_exits_2_and_names_the_option(capsys, cmd, q, bad):
     assert "--q" in err and bad in err
 
 
+@pytest.mark.parametrize("cmd", [["gen", "--n", "10", "--m", "5"], ["predict"]])
+@pytest.mark.parametrize(
+    "args, msg",
+    [
+        (["--q", "1/2,1/2", "--f", "3"], "--f is 3, but q lists 2 weights"),
+        ([], "--q uniform needs --f of at least 1"),
+        (["--f", "0"], "--q uniform needs --f of at least 1"),
+    ],
+)
+def test_bad_f_exits_2_and_names_the_option(capsys, cmd, args, msg):
+    code, out, err = run_cli(*cmd, *args, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
 @pytest.mark.parametrize(
     "args, what",
     [
@@ -307,6 +322,18 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert code == 3
     code, _, _ = run_cli("count", str(tmp_path / "missing.q2"), capsys=capsys)
     assert code == 3
+    # a valid file with one byte outside ASCII, and a directory
+    good = tmp_path / "good.q2"
+    assert run_cli("gen", "--n", "20", "--m", "10", "--f", "2", "--out", str(good))[0] == 0
+    text = good.read_bytes()
+    accented = tmp_path / "accented.q2"
+    accented.write_bytes(text[:20] + b"\xe9" + text[21:])
+    for path in (accented, tmp_path):
+        for cmd in ("count", "analyze"):
+            code, out, err = run_cli(cmd, str(path), capsys=capsys)
+            assert (code, out) == (3, ""), (cmd, path)
+            assert err.startswith("error: ")
+    assert "non-ASCII byte at offset 20" in run_cli("count", str(accented), capsys=capsys)[2]
 
 
 def test_predict_output(capsys):

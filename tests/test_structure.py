@@ -304,7 +304,7 @@ def test_decouple_residual_components():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(["er", "lat2"]),
+    st.sampled_from(["er", "lat2", "lat3"]),
     st.integers(2, 4),
     st.sampled_from(["any", "free"]),
     st.integers(0, 2**32),
@@ -315,7 +315,8 @@ def test_decouple_matches_reference(model, f, cond, seed, data):
         n = data.draw(st.integers(1, 120))
         kw = dict(n=n, m=data.draw(st.integers(0, min(3 * n, n * (n - 1) // 2))))
     else:
-        kw = dict(L=data.draw(st.integers(2, 10)), p=data.draw(st.floats(0.0, 1.0)))
+        side = data.draw(st.integers(2, 10 if model == "lat2" else 4))
+        kw = dict(L=side, p=data.draw(st.floats(0.0, 1.0)))
     inst = generate_instance(
         model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
     )

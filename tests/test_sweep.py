@@ -76,6 +76,20 @@ def test_generate_instance_records_master_seed():
     assert inst.graph == sample_er_graph(120, 36, stream_seed(seed, GRAPH_STREAM))
 
 
+@pytest.mark.parametrize(
+    "kwargs, msg",
+    [
+        (dict(model="ER", n=27, m=10), "unknown model 'ER'"),
+        (dict(model="er", n=27, m=10, cond="ff"), "unknown conditioning 'ff'"),
+        (dict(model="lat2", L=3, p=0.5, cond="frustration-free"), "'frustration-free'"),
+    ],
+)
+def test_generate_instance_rejects_unknown_model_and_cond(kwargs, msg):
+    dist = parse_config(BASE_CFG).dist
+    with pytest.raises(ValueError, match=msg):
+        generate_instance(dist=dist, seed=1, **kwargs)
+
+
 def test_generate_instance_conditioned():
     cfg = parse_config(BASE_CFG)
     inst = generate_instance(
@@ -253,6 +267,10 @@ INVALID_SWEEPS = {
     "f_disagrees_with_q_list": (
         "model=er\nn=50\ngrid=1.0\ntrials=2\nq=1/2,1/2\nf=3\n",
         "'f' is 3, but q lists 2 weights",
+    ),
+    "uniform_without_f": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\n",
+        "config key 'q' uniform needs config key 'f' of at least 1",
     ),
 }
 
