@@ -42,7 +42,6 @@ from .structure import (
     decouple,
     domino_frustrated,
     figure_eight_frustrated,
-    fixed_states,
     frozen_subgraph,
 )
 from .sweep import SweepConfig, generate_instance, parse_config, run_sweep
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_dominoes",
     "enumerate_figure_eights",
     "figure_eight_frustrated",
-    "fixed_states",
     "format_instance",
     "frozen_subgraph",
     "functionals",

@@ -148,8 +148,11 @@ def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, not {args.threads}")
     with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    csv = run_sweep(cfg, threads=args.threads)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{args.config}: non-UTF-8 byte at offset {e.start}") from None
+    csv = run_sweep(parse_config(text), threads=args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv)
     return 0

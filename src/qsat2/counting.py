@@ -261,5 +261,4 @@ def instance_value(inst: Instance, max_component_qubits: int = 16) -> int:
     Frozen qubits are removed first and the residual components are counted
     independently.
     """
-    check_component_cap(max_component_qubits)
     return decomposition_value(inst, decouple(inst), max_component_qubits)

@@ -193,7 +193,7 @@ def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
 
 
 def satisfiable(inst: Instance) -> bool:
-    return not solve(inst.n, inst.edge_array)
+    return not solve(inst.edge_array)
 
 
 RESAMPLE_BUDGET = 10_000
@@ -306,14 +306,22 @@ class InstanceParseError(ValueError):
     pass
 
 
+HEADER_KEYS = ("n", "m", "f", "model", "L", "seed", "cond", "resamples")
+
+
 def _parse_header(line: str) -> dict[str, str]:
+    """The header's key=value tokens: each of HEADER_KEYS exactly once."""
     fields = {}
     for tok in line.split():
         if "=" not in tok:
             raise InstanceParseError(f"bad header token {tok!r}")
         key, val = tok.split("=", 1)
+        if key not in HEADER_KEYS:
+            raise InstanceParseError(f"unknown header key {key!r}")
+        if key in fields:
+            raise InstanceParseError(f"repeated header key {key!r}")
         fields[key] = val
-    for key in ("n", "m", "f", "model", "L", "seed", "cond", "resamples"):
+    for key in HEADER_KEYS:
         if key not in fields:
             raise InstanceParseError(f"header missing {key}")
     return fields

@@ -1,14 +1,17 @@
-"""Structural analysis: fixed states, frozen cores, decoupling.
+"""Structural analysis: the frozen set, frozen cores, decoupling.
 
-The fixed (frozen) states are exactly the 2-SAT backbone: the kernel states
-that every satisfying product assignment shares.  One `twosat.solve`
-decides satisfiability; when the instance is unsatisfiable, it names the
-clashing vertices, and with them the frustrated components.  Otherwise the
-backbone is found by probing each variable x[v,h] of the clause set, one
-per side of an edge, with the engine's denial closure: a state (v, h) that
-no edge at v carries on v's side has a denial closure with no start, which
-cannot collapse.  Removing the frozen qubits leaves the residual components
-that `decouple` classifies and the counter counts one by one.
+The frozen states are exactly the 2-SAT backbone: the kernel states that
+every satisfying product assignment shares.  `decouple` finds them in one
+pass.  One `twosat.solve` decides satisfiability; when the instance is
+unsatisfiable, it names the clashing vertices, and with them the frustrated
+components, and nothing is frozen.  Otherwise the backbone is found by
+probing each variable x[v,h] of the clause set, one per side of an edge,
+with the engine's denial closure: a state (v, h) that no edge at v carries
+on v's side has a denial closure with no start, which cannot collapse.
+Removing the frozen qubits leaves the residual components that `decouple`
+classifies and the counter counts one by one.  `frozen_subgraph` groups the
+frozen vertices by the edges that their frozen states leave unsatisfied;
+its largest group is the frozen core.
 
 Only cyclic components reach the solve.  A tree component is always
 satisfiable, and its backbone is empty: a denial closure leaves its start
@@ -36,7 +39,6 @@ from .twosat import TwoSatEngine, solve
 
 @dataclass(frozen=True)
 class FrozenSubgraph:
-    arcs: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
     core: tuple[int, ...]
 
@@ -78,7 +80,7 @@ def _backbone(
     cyclic = np.asarray(rep.edge_counts) >= np.bincount(rep.labels, minlength=len(rep.components))
     edges = inst.edge_array
     edges = edges[cyclic[rep.labels[edges[:, 0]]]]
-    clashing = solve(inst.n, edges)
+    clashing = solve(edges)
     if clashing:
         return None, tuple(np.unique(rep.labels[clashing]).tolist())
     if not len(edges):
@@ -94,25 +96,13 @@ def _backbone(
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}, ()
 
 
-def fixed_states(inst: Instance) -> dict[int, int]:
-    """Vertices stuck in one kernel state, as vertex -> factor.
-
-    This is exactly the 2-SAT backbone: v maps to h iff every satisfying
-    product assignment puts v in the kernel state of factor h.  Complete as
-    well as sound, because 2-SAT entailment is decided by the closure of a
-    literal's denial (see `_backbone`).
-    """
-    frozen, _ = _backbone(inst, components(inst.graph))
-    if frozen is None:
-        raise ValueError("fixed states are only defined for satisfiable instances")
-    return frozen
-
-
 def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
-    """Arcs x -> y where x's frozen state fails to satisfy the edge at x.
+    """Frozen vertices grouped by their arcs x -> y, one wherever x's frozen
+    state fails to satisfy the edge at x.
 
     Any such arc's target must itself be frozen, or the input was not closed
-    under propagation.  Components are weak; the largest is the frozen core.
+    under propagation.  Components are weak and largest first; the largest is
+    the frozen core.
     """
     state = np.full(inst.n, -1, dtype=np.int64)
     state[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = list(frozen.values())
@@ -129,15 +119,10 @@ def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
         raise ValueError(f"arc {x}->{y} leaves the frozen set")
     tails = np.concatenate((u[fwd], v[back]))
     heads = np.concatenate((v[fwd], u[back]))
-    order = np.lexsort((heads, tails))
     # unfrozen vertices carry no arc, so each is a component of its own
     comps, _ = vertex_components(inst.n, tails, heads)
     comps = sorted((c for c in comps if state[c[0]] >= 0), key=lambda c: (-len(c), c[0]))
-    return FrozenSubgraph(
-        arcs=tuple(zip(tails[order].tolist(), heads[order].tolist())),
-        components=tuple(comps),
-        core=comps[0] if comps else (),
-    )
+    return FrozenSubgraph(components=tuple(comps), core=comps[0] if comps else ())
 
 
 def component_cutoff(n: int, cutoff_c: float) -> int:

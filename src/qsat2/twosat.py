@@ -21,18 +21,18 @@ uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
 propagation is linear.  `TwoSatEngine` answers these queries over a
 per-vertex edge index.
 
-Deciding the whole clause set at once is `solve`, a function of the vertex
-count and an (m, 4) edge array.  It builds the literal graph in numpy and
-hands it to scipy's strongly connected components.  The clause set is
-unsatisfiable exactly when some variable shares a component with its
-negation, and the solve then names the vertices of every such variable.
-Each clash lies inside one connected component of the interaction graph:
-every arc joins two variables of one vertex (at most one kernel state) or
-of the two ends of one edge, so a strongly connected component never spans
-two graph components.  The literal graph of a graph component's own clauses
-is the whole literal graph restricted to that component, so the component
-is unsatisfiable exactly when one of its vertices clashes: the clashing
-vertices name the frustrated components.
+Deciding the whole clause set at once is `solve`, a function of an (m, 4)
+edge array.  It builds the literal graph in numpy and hands it to scipy's
+strongly connected components.  The clause set is unsatisfiable exactly
+when some variable shares a component with its negation, and the solve then
+names the vertices of every such variable.  Each clash lies inside one
+connected component of the interaction graph: every arc joins two variables
+of one vertex (at most one kernel state) or of the two ends of one edge, so
+a strongly connected component never spans two graph components.  The
+literal graph of a graph component's own clauses is the whole literal graph
+restricted to that component, so the component is unsatisfiable exactly
+when one of its vertices clashes: the clashing vertices name the frustrated
+components.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-
-OK = 0
-CONFLICT = 1
 
 
 class TwoSatEngine:
@@ -74,25 +71,23 @@ class TwoSatEngine:
 
     # -- BFS closure ------------------------------------------------------
 
-    def _closure(
-        self, starts: Sequence[tuple[int, int]]
-    ) -> tuple[int, dict[int, int]]:
+    def _closure(self, starts: Sequence[tuple[int, int]]) -> Optional[dict[int, int]]:
         """Forced states reachable from `starts`, as a vertex -> factor map.
 
-        Returns (OK, visited) when the closure is a consistent partial
-        assignment, (CONFLICT, ...) when some vertex is forced two ways or
-        contradicts a frozen state.  Expansion stops at states already
-        recorded as frozen: their consequences are frozen too.
+        Returns the map when the closure is a consistent partial assignment,
+        and None when some vertex is forced two ways or contradicts a frozen
+        state.  Expansion stops at states already recorded as frozen: their
+        consequences are frozen too.
         """
         visited: dict[int, int] = {}
         queue: list[tuple[int, int]] = []
         for v, s in starts:
             fv = self.frozen[v]
             if fv is not None and fv != s:
-                return CONFLICT, visited
+                return None
             if v in visited:
                 if visited[v] != s:
-                    return CONFLICT, visited
+                    return None
                 continue
             visited[v] = s
             if fv is None:
@@ -107,7 +102,7 @@ class TwoSatEngine:
                 fw = self.frozen[w]
                 if fw is not None:
                     if fw != jw:
-                        return CONFLICT, visited
+                        return None
                     visited.setdefault(w, jw)
                     continue
                 seen = visited.get(w)
@@ -115,8 +110,8 @@ class TwoSatEngine:
                     visited[w] = jw
                     queue.append((w, jw))
                 elif seen != jw:
-                    return CONFLICT, visited
-        return OK, visited
+                    return None
+        return visited
 
     # -- queries ----------------------------------------------------------
 
@@ -130,8 +125,7 @@ class TwoSatEngine:
         fu = self.frozen[u]
         if fu is not None:
             return fu == k
-        status, _ = self._closure([(u, k)])
-        return status == OK
+        return self._closure([(u, k)]) is not None
 
     def pinned_to(self, u: int, k: int) -> bool:
         """Does every satisfying assignment put u in factor-k's kernel state?
@@ -148,22 +142,19 @@ class TwoSatEngine:
         fu = self.frozen[u]
         if fu is not None:
             return fu == k
-        starts = [(w, jw) for w, hv, jw in self.incident[u] if hv == k]
-        status, _ = self._closure(starts)
-        return status == CONFLICT
+        return self._closure([(w, jw) for w, hv, jw in self.incident[u] if hv == k]) is None
 
     def freeze(self, u: int, k: int) -> None:
         """Record that x[u,k] is entailed, together with its full closure."""
-        status, visited = self._closure([(u, k)])
-        if status != OK:
+        visited = self._closure([(u, k)])
+        if visited is None:
             raise AssertionError("freeze called on a non-entailed state")
         for v, s in visited.items():
             self.frozen[v] = s
 
 
-def solve(n: int, edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
-    """Clashing vertices of the clause set of `n` vertices and the (u, v, h, j)
-    rows `edges`.
+def solve(edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
+    """Clashing vertices of the clause set of the (u, v, h, j) rows `edges`.
 
     Returns, ascending, the vertices with a variable in its negation's
     strongly connected component.  The list is empty exactly when the

@@ -527,7 +527,7 @@ def naive_frustration_free(
             h = sample_factor(dist, rng)
             j = sample_factor(dist, rng)
             trial = chosen + [(u, v, h, j)]
-            if not solve(g.n, trial):
+            if not solve(trial):
                 pairs[idx] = (h, j)
                 chosen = trial
                 break
@@ -763,7 +763,6 @@ def reference_frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenS
         groups.setdefault(uf.find(index[v]), []).append(v)
     comps = sorted(groups.values(), key=lambda c: (-len(c), c[0]))
     return FrozenSubgraph(
-        arcs=tuple(sorted(arcs)),
         components=tuple(tuple(c) for c in comps),
         core=tuple(comps[0]) if comps else (),
     )

@@ -24,7 +24,7 @@ from qsat2.stats import (
     residual_density,
     xi,
 )
-from qsat2.structure import domino_frustrated, figure_eight_frustrated, fixed_states
+from qsat2.structure import decouple, domino_frustrated, figure_eight_frustrated
 from qsat2.sweep import SweepConfig, generate_instance, run_sweep
 from qsat2.twosat import solve
 
@@ -94,7 +94,7 @@ def test_criterion_01_small_instance_audit():
         assert (val > 0) == sat, (model, f, cond, s)
         assert val == raw_instance_value(inst), (model, f, cond, s)
         if sat:
-            frozen = fixed_states(inst)
+            frozen = decouple(inst).frozen
             if frozen:
                 frozen_seen += len(frozen)
                 assert _marginals_sound(inst, frozen), (model, f, cond, s)
@@ -247,7 +247,7 @@ def test_criterion_06_domino_statistics():
             (local[u], local[v], combo[2 * i], combo[2 * i + 1])
             for i, (u, v) in enumerate(dom_edges)
         ]
-        if solve(len(verts), edges):
+        if solve(edges):
             unsat_assignments += 1
     p_dom = unsat_assignments / 4**7
     assert p_dom == float(domino_frustration_probability(dist))

@@ -334,6 +334,16 @@ def test_parse_errors_exit_3(tmp_path, capsys):
             assert (code, out) == (3, ""), (cmd, path)
             assert err.startswith("error: ")
     assert "non-ASCII byte at offset 20" in run_cli("count", str(accented), capsys=capsys)[2]
+    # a header key given twice, even where the second n only adds an
+    # isolated qubit, or a key the format does not define
+    head, rest = text.split(b"\n", 2)[1:]
+    for extra, key in ((b" n=21", "'n'"), (b" bogus=1", "'bogus'")):
+        edited = tmp_path / "edited.q2"
+        edited.write_bytes(b"QSAT2 v1\n" + head + extra + b"\n" + rest)
+        for cmd in ("count", "analyze"):
+            code, out, err = run_cli(cmd, str(edited), capsys=capsys)
+            assert (code, out) == (3, ""), (cmd, extra)
+            assert err.startswith("error: ") and key in err, (cmd, extra)
 
 
 def test_predict_output(capsys):
@@ -364,6 +374,16 @@ def test_sweep_cli_and_thread_identity(tmp_path, capsys):
     )
     assert code == 0
     assert out1.read_bytes() == out4.read_bytes()
+
+
+def test_sweep_config_not_utf8_exits_2_and_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(b"model=er\nn=60\ngrid=0.3\ntrials=1\nf=2 # caf\xe9\n")
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli("sweep", "--config", str(cfg), "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert err == f"error: {cfg}: non-UTF-8 byte at offset 41\n"
+    assert not out.exists()
 
 
 def test_console_entry_point():

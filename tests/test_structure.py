@@ -21,7 +21,6 @@ from qsat2.structure import (
     decouple,
     domino_frustrated,
     figure_eight_frustrated,
-    fixed_states,
     frozen_subgraph,
 )
 
@@ -128,8 +127,7 @@ def test_figure_eight_frustration_cases():
     b2 = [(1, 3), (1, 3), (3, 1)]
     sat = build_figure_eight(a, b2)
     assert satisfiable(sat)
-    frozen = fixed_states(sat)
-    assert frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert decouple(sat).frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     assert instance_value(sat) == 1
 
 
@@ -158,11 +156,11 @@ def test_fixed_states_sound():
     for seed in range(30):
         g = sample_er_graph(9, 11, seed=seed)
         inst = sample_instance(g, FactorDistribution.uniform(2), seed=seed)
+        dec = decouple(inst)
         if not satisfiable(inst):
-            with pytest.raises(ValueError):
-                fixed_states(inst)
+            assert dec.label == "frustrated"
             continue
-        frozen = fixed_states(inst)
+        frozen = dec.frozen
         # frozen marginals: every kernel vector is supported on the frozen
         # kernel state of each frozen qubit
         for comp in components(inst.graph).components:
@@ -347,9 +345,9 @@ def test_forest_never_reaches_the_solve(n, f, data):
     seen = []
     solve = structure.solve
 
-    def spy(n, edges):
+    def spy(edges):
         seen.append(len(edges))
-        return solve(n, edges)
+        return solve(edges)
 
     with mock.patch.object(structure, "solve", spy):
         dec = decouple(inst)
@@ -379,7 +377,7 @@ def test_frozen_subgraph_core():
     a = [(0, 1), (0, 1), (1, 0)]
     b2 = [(1, 3), (1, 3), (3, 1)]
     inst = build_figure_eight(a, b2)
-    frozen = fixed_states(inst)
+    frozen = decouple(inst).frozen
     assert set(frozen) == {0, 1, 2, 3, 4}
     sub = frozen_subgraph(inst, frozen)
     # forcing arcs tie both cycles together through the crux
@@ -389,7 +387,7 @@ def test_frozen_subgraph_core():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["er", "lat2"]),
+    st.sampled_from(["er", "lat2", "lat3"]),
     st.integers(2, 4),
     st.sampled_from(["any", "free"]),
     st.integers(0, 2**32),
@@ -400,7 +398,8 @@ def test_frozen_subgraph_matches_reference(model, f, cond, seed, data):
         n = data.draw(st.integers(1, 150))
         kw = dict(n=n, m=data.draw(st.integers(0, min(3 * n, n * (n - 1) // 2))))
     else:
-        kw = dict(L=data.draw(st.integers(2, 10)), p=data.draw(st.floats(0.0, 1.0)))
+        side = data.draw(st.integers(2, 10 if model == "lat2" else 4))
+        kw = dict(L=side, p=data.draw(st.floats(0.0, 1.0)))
     inst = generate_instance(
         model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
     )

@@ -34,7 +34,7 @@ def _assert_witness(states, edges):
 def test_solve_matches_brute_force(sys_):
     n, f, edges = sys_
     ref = brute_force_kernel_assignment(n, edges, f)
-    clashing = solve(n, edges)
+    clashing = solve(edges)
     assert bool(clashing) == (ref is None)
     assert reference_solve(n, edges)[1] == clashing
     # a component clashes exactly when its own edges are unsatisfiable
@@ -63,7 +63,7 @@ def larger_systems(draw):
 @given(larger_systems())
 def test_solve_matches_reference_solve(sys_):
     n, edges = sys_
-    clashing = solve(n, edges)
+    clashing = solve(edges)
     ref, ref_clashing = reference_solve(n, edges)
     assert clashing == ref_clashing
     assert (ref is None) == bool(clashing)
@@ -108,13 +108,13 @@ def test_queries_on_a_long_chain():
     eng = TwoSatEngine(n)
     for e in edges:
         eng.add_edge(*e)
-    assert solve(n, edges) == []
+    assert solve(edges) == []
 
     def forced(u, k):
         # unless u takes state k, these two edges need the fresh vertex n in
         # states 0 and 1 at once
         extra = [(u, n, k, 0), (u, n, k, 1)]
-        return not solve(n + 1, edges + extra)
+        return not solve(edges + extra)
 
     assert eng.feasible(0, 0) is False
     assert eng.pinned_to(0, 1) is True
@@ -142,7 +142,7 @@ def test_pinned_after_conflict_chain():
     # once, so vertex 0 is pinned
     assert eng.pinned_to(0, 0) is True
     assert eng.pinned_to(1, 0) is False
-    assert solve(2, [(0, 1, 0, 0), (0, 1, 0, 1)]) == []
+    assert solve([(0, 1, 0, 0), (0, 1, 0, 1)]) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,4 +186,4 @@ def test_freeze_rejects_contradiction():
 def test_solve_names_the_clashing_vertices_on_unsat():
     # two vertices, f=2: the four edges demand every pairing at once
     edges = [(0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]
-    assert solve(2, edges) == [0, 1]
+    assert solve(edges) == [0, 1]
