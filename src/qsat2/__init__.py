@@ -38,7 +38,6 @@ from .seeding import derive_trial_seed
 from .stats import functionals, thresholds, xi
 from .structure import (
     Decomposition,
-    FrozenSubgraph,
     decouple,
     domino_frustrated,
     figure_eight_frustrated,
@@ -53,7 +52,6 @@ __all__ = [
     "ComponentReport",
     "Decomposition",
     "FactorDistribution",
-    "FrozenSubgraph",
     "Graph",
     "Instance",
     "InstanceParseError",

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .counting import ComponentCapError, check_component_cap, component_value, product_tree
+from .graphs import MODELS
 from .instances import (
     FactorDistribution,
     InstanceParseError,
@@ -26,14 +27,7 @@ from .instances import (
 )
 from .stats import functionals, thresholds, xi
 from .structure import decouple, phase_label
-from .sweep import (
-    analyze_instance,
-    generate_instance,
-    parse_config,
-    read_cond,
-    read_distribution,
-    run_sweep,
-)
+from .sweep import generate_instance, parse_config, read_cond, read_distribution, run_sweep
 
 
 def _build_dist(args) -> FactorDistribution:
@@ -62,7 +56,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.file)
-    dec, core = analyze_instance(inst, args.cutoff_c)
+    dec = decouple(inst, args.cutoff_c)
     rep, residual = dec.report, dec.residual_components
     # per component of the graph: its frozen vertices and largest residual part
     frozen_in = np.bincount(rep.labels[list(dec.frozen)], minlength=len(rep.components))
@@ -86,7 +80,7 @@ def _cmd_analyze(args) -> int:
         )
     print(
         f"GLOBAL frustrated={int(dec.label == 'frustrated')} label={dec.label} "
-        f"frozen={len(dec.frozen)} frozen_core={core} "
+        f"frozen={len(dec.frozen)} frozen_core={dec.frozen_core} "
         f"max_comp={rep.max_size} residual_max={dec.residual_max}"
     )
     return 0
@@ -166,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample an instance and write it out")
-    p.add_argument("--model", choices=["er", "lat2", "lat3"], default="er")
+    p.add_argument("--model", choices=MODELS, default="er")
     p.add_argument("--n", type=int, help="vertex count (er)")
     p.add_argument("--m", type=int, help="edge count (er)")
     p.add_argument("--L", type=int, help="lattice side")
@@ -192,7 +186,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int)
     p.add_argument("--q", default="uniform")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--model", choices=["er", "lat2", "lat3"], default="er")
+    p.add_argument("--model", choices=MODELS, default="er")
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.set_defaults(func=_cmd_predict)

@@ -39,6 +39,8 @@ class LatticeInfo:
 # builds them, so no graph may have more vertices than int32 can number
 MAX_VERTICES = 2**31 - 1
 
+MODELS = ("er", "lat2", "lat3")  # Erdos-Renyi, square and cubic lattices
+
 
 def check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
@@ -238,30 +240,29 @@ class ComponentReport:
 _CLASSES = ("tree", "unicyclic", "multicyclic")
 
 
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each vertex's component in the graph on range(n) with edges (u[i], v[i]),
+    components numbered by their smallest vertex."""
+    graph = csr_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    ncomp, labels = connected_components(graph, directed=False)
+    first = np.full(ncomp, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
+    # a component's number is how many components start before it
+    lead = first[labels]
+    return np.cumsum(lead == np.arange(n))[lead] - 1
+
+
 def vertex_components(
     n: int, u: np.ndarray, v: np.ndarray
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Connected components of the graph on range(n) with edges (u[i], v[i]).
-
-    Returns the components, members ascending and ordered by their smallest
-    vertex, and each vertex's index into that list.
-    """
-    graph = csr_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
+    """The components of the graph on range(n) with edges (u[i], v[i]),
+    members ascending and ordered by their smallest vertex, and each
+    vertex's index into that list, its `component_labels` label."""
+    labels = component_labels(n, u, v)
     # a stable sort keeps each label's vertices ascending
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=ncomp)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    by_first = np.argsort(order[starts])
-    index = np.empty(ncomp, dtype=np.int64)
-    index[by_first] = np.arange(ncomp)
-    flat = order.tolist()
-    comps = [
-        tuple(flat[a:b])
-        for a, b in zip(starts[by_first].tolist(), ends[by_first].tolist())
-    ]
-    return comps, index[labels]
+    flat = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)], labels
 
 
 def components(g: Graph) -> ComponentReport:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import Graph, LatticeInfo, fields_equal, int_rows
+from .graphs import MODELS, Graph, LatticeInfo, fields_equal, int_rows
 from .seeding import randbelow, randbelow_batches
 from .twosat import TwoSatEngine, solve
 
@@ -123,6 +123,9 @@ class FactorDistribution:
         return self.q[0]
 
 
+CONDITIONINGS = ("any", "free")  # unconditioned, or conditioned frustration-free
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A graph with one factor-index pair per edge, aligned to the graph's edges.
@@ -151,8 +154,10 @@ class Instance:
         pairs = int_rows(self.pairs, 2, "factor pairs")
         if ((pairs < 0) | (pairs >= self.dist.f)).any():
             raise ValueError("factor index out of range")
-        if self.conditioning not in ("any", "free"):
+        if self.conditioning not in CONDITIONINGS:
             raise ValueError("conditioning must be 'any' or 'free'")
+        if self.resamples < 0:
+            raise ValueError(f"negative count resamples={self.resamples}")
         rows = np.hstack((self.graph.edge_array, pairs))
         rows.flags.writeable = False
         object.__setattr__(self, "edge_array", rows)
@@ -357,9 +362,9 @@ def parse_instance(text: str) -> Instance:
         if count < 0:
             raise InstanceParseError(f"negative count {key}={count}")
     model, cond = hdr["model"], hdr["cond"]
-    if model not in ("er", "lat2", "lat3"):
+    if model not in MODELS:
         raise InstanceParseError(f"unknown model {model!r}")
-    if cond not in ("free", "any"):
+    if cond not in CONDITIONINGS:
         raise InstanceParseError(f"unknown conditioning {cond!r}")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != 2 * f + m:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .graphs import MODELS
 from .instances import FactorDistribution
 
 
@@ -193,7 +194,7 @@ def thresholds(
     gamma: Optional[float] = None,
     p: Optional[float] = None,
 ) -> ThresholdReport:
-    if model not in ("er", "lat2", "lat3"):
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
@@ -205,7 +206,12 @@ def thresholds(
     if gamma is not None:
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-        cond = 2.0 * gamma * float(fn.qinf) - math.log(2.0 * gamma)
+        # 2 * gamma overflows above about 9e307, where its log is taken as a
+        # sum; gamma * (2 * qinf) is the float 2 * gamma * qinf would be, inf
+        # only where the product is too large for one
+        twice = 2.0 * gamma
+        log_twice = math.log(twice) if twice < math.inf else math.log(2.0) + math.log(gamma)
+        cond = gamma * (2.0 * float(fn.qinf)) - log_twice
     p_c = {"er": None, "lat2": 0.5, "lat3": 0.24881}[model]
     p_fin = {"er": None, "lat2": 0.5, "lat3": None}[model]
     scale = None

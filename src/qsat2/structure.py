@@ -10,8 +10,10 @@ with the engine's denial closure: a state (v, h) that no edge at v carries
 on v's side has a denial closure with no start, which cannot collapse.
 Removing the frozen qubits leaves the residual components that `decouple`
 classifies and the counter counts one by one.  `frozen_subgraph` groups the
-frozen vertices by the edges that their frozen states leave unsatisfied;
-its largest group is the frozen core.
+frozen vertices by the edges that their frozen states leave unsatisfied and
+returns the largest, the frozen core, after checking that no such edge
+leaves the frozen set, the closure the counter relies on.  `decouple`
+returns the one record that the sweep, `count` and `analyze` read.
 
 Only cyclic components reach the solve.  A tree component is always
 satisfiable, and its backbone is empty: a denial closure leaves its start
@@ -32,23 +34,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import ComponentReport, Domino, FigureEight, components, vertex_components
+from .graphs import (
+    ComponentReport,
+    Domino,
+    FigureEight,
+    component_labels,
+    components,
+    vertex_components,
+)
 from .instances import Instance
 from .twosat import TwoSatEngine, solve
 
 
 @dataclass(frozen=True)
-class FrozenSubgraph:
-    components: tuple[tuple[int, ...], ...]
-    core: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """`frustrated_components` holds ascending indices into `report.components`
+    """`frozen_core` is the size of the frozen core, 0 when nothing is frozen.
+    `frustrated_components` holds ascending indices into `report.components`
     and is empty unless the label is frustrated."""
 
     frozen: dict[int, int]
+    frozen_core: int
     residual_components: tuple[tuple[int, ...], ...]
     label: str
     cutoff: int
@@ -96,14 +101,16 @@ def _backbone(
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}, ()
 
 
-def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
-    """Frozen vertices grouped by their arcs x -> y, one wherever x's frozen
-    state fails to satisfy the edge at x.
+def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> tuple[int, ...]:
+    """The frozen core, ascending: the largest group of frozen vertices joined
+    by arcs x -> y, one wherever x's frozen state fails to satisfy the edge
+    at x, and of equal groups the one with the smallest vertex.
 
     Any such arc's target must itself be frozen, or the input was not closed
-    under propagation.  Components are weak and largest first; the largest is
-    the frozen core.
+    under propagation.  Returns () when nothing is frozen.
     """
+    if not frozen:
+        return ()
     state = np.full(inst.n, -1, dtype=np.int64)
     state[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = list(frozen.values())
     u, v, h, j = inst.edge_array.T
@@ -117,12 +124,12 @@ def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
         # unfrozen, so an edge escapes one way at most
         x, y = (u[i], v[i]) if fwd[i] else (v[i], u[i])
         raise ValueError(f"arc {x}->{y} leaves the frozen set")
-    tails = np.concatenate((u[fwd], v[back]))
-    heads = np.concatenate((v[fwd], u[back]))
-    # unfrozen vertices carry no arc, so each is a component of its own
-    comps, _ = vertex_components(inst.n, tails, heads)
-    comps = sorted((c for c in comps if state[c[0]] >= 0), key=lambda c: (-len(c), c[0]))
-    return FrozenSubgraph(components=tuple(comps), core=comps[0] if comps else ())
+    arc = fwd | back
+    labels = component_labels(inst.n, u[arc], v[arc])
+    verts = np.flatnonzero(state >= 0)
+    groups = labels[verts]
+    # groups are numbered by smallest vertex, so argmax breaks a tie by it
+    return tuple(verts[groups == np.bincount(groups).argmax()].tolist())
 
 
 def component_cutoff(n: int, cutoff_c: float) -> int:
@@ -154,17 +161,18 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     """Remove the frozen closure and classify what remains.
 
     The label is frustrated when the instance is unsatisfiable, and the
-    whole graph's `phase_label` otherwise.  Cutoff is ceil(c * log2 n).  The
-    component report of the original graph rides along as `report`; on a
-    frustrated instance `frustrated_components` names the components whose
-    vertices clash in the one solve.
+    whole graph's `phase_label` otherwise.  Cutoff is ceil(c * log2 n).  When
+    something is frozen, `frozen_subgraph` checks the frozen set's closure
+    and gives the frozen core.  The component report of the original graph
+    rides along as `report`; on a frustrated instance `frustrated_components`
+    names the components whose vertices clash in the one solve.
     """
     g = inst.graph
     rep = components(g)
     cutoff = component_cutoff(g.n, cutoff_c)
     frozen, frustrated = _backbone(inst, rep)
     # a frustrated instance freezes nothing and keeps the graph's components
-    residual, residual_max = rep.components, rep.max_size
+    residual, residual_max, core = rep.components, rep.max_size, 0
     if frozen:
         alive = np.ones(g.n, dtype=bool)
         alive[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = False
@@ -174,8 +182,10 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         comps, labels = vertex_components(g.n, u[keep], v[keep])
         residual = tuple(c for c in comps if c[0] not in frozen)
         residual_max = int(np.bincount(labels[alive]).max(initial=0))
+        core = len(frozen_subgraph(inst, frozen))
     return Decomposition(
         frozen={} if frozen is None else frozen,
+        frozen_core=core,
         residual_components=residual,
         label="frustrated" if frozen is None else phase_label(rep.max_size, residual_max, cutoff),
         cutoff=cutoff,

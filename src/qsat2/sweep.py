@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .counting import ComponentCapError, check_component_cap, decomposition_value
 from .graphs import (
+    MODELS,
     check_vertex_count,
     enumerate_dominoes,
     enumerate_figure_eights,
@@ -22,6 +23,7 @@ from .graphs import (
     sample_lattice,
 )
 from .instances import (
+    CONDITIONINGS,
     FactorDistribution,
     Instance,
     ResampleBudgetError,
@@ -29,16 +31,7 @@ from .instances import (
     sample_instance,
 )
 from .seeding import FACTOR_STREAM, GRAPH_STREAM, derive_trial_seed, stream_seed
-from .structure import (
-    Decomposition,
-    component_cutoff,
-    decouple,
-    figure_eight_frustrated,
-    frozen_subgraph,
-)
-
-MODELS = ("er", "lat2", "lat3")
-CONDITIONINGS = ("any", "free")
+from .structure import component_cutoff, decouple, figure_eight_frustrated
 
 
 @dataclass(frozen=True)
@@ -165,18 +158,6 @@ def generate_instance(
     return replace(inst, seed=seed)
 
 
-def analyze_instance(inst: Instance, cutoff_c: float = 3.0) -> tuple[Decomposition, int]:
-    """The analysis pass behind one sweep row and `qsat2 analyze`.
-
-    Returns the instance's `Decomposition` (its component report, with the
-    per-vertex component labels, rides along as `report`) and the size of
-    its frozen core, 0 when nothing is frozen.
-    """
-    dec = decouple(inst, cutoff_c)
-    core = len(frozen_subgraph(inst, dec.frozen).core) if dec.frozen else 0
-    return dec, core
-
-
 def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
     tseed = derive_trial_seed(cfg.seed, gi, ti)
     gv = cfg.grid[gi]
@@ -190,7 +171,7 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
     except ResampleBudgetError:
         n = cfg.vertex_count
         return TrialRecord(gv, ti, tseed, n, 0, label="error:resample_budget")
-    dec, core = analyze_instance(inst, cfg.cutoff_c)
+    dec = decouple(inst, cfg.cutoff_c)
     fig8 = dominoes = None
     if cfg.fig8_l3:
         fig8 = sum(figure_eight_frustrated(inst, e) for e in enumerate_figure_eights(inst.graph, 3))
@@ -211,7 +192,7 @@ def _run_trial(cfg: SweepConfig, gi: int, ti: int) -> TrialRecord:
         frustrated=dec.label == "frustrated",
         max_comp=dec.report.max_size,
         multicyclic=dec.report.multicyclic_count,
-        frozen_core=core,
+        frozen_core=dec.frozen_core,
         residual_max=dec.residual_max,
         label=dec.label,
         fig8_l3=fig8,

@@ -40,7 +40,7 @@ from qsat2.graphs import (
     lattice_vertex,
 )
 from qsat2.instances import FactorDistribution, Instance, satisfiable
-from qsat2.structure import Decomposition, FrozenSubgraph, component_cutoff, decouple
+from qsat2.structure import Decomposition, component_cutoff, decouple
 from qsat2.twosat import TwoSatEngine, solve
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -739,9 +739,15 @@ def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
     return {v: s for v, s in enumerate(eng.frozen) if s is not None}
 
 
-def reference_frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenSubgraph:
-    """`structure.frozen_subgraph` by one Python step per edge and a
-    union-find over the frozen vertices."""
+def reference_frozen_subgraph(
+    inst: Instance, frozen: dict[int, int]
+) -> tuple[tuple[int, ...], ...]:
+    """The groups that `structure.frozen_subgraph` picks its core from, by
+    one Python step per edge and a union-find over the frozen vertices.
+
+    Members ascend and groups are ordered by their smallest vertex, so
+    `max(groups, key=len, default=())` is the core.
+    """
     arcs: list[tuple[int, int]] = []
     for u, v, h, j in inst.edge_array.tolist():
         fu, fv = frozen.get(u), frozen.get(v)
@@ -761,11 +767,7 @@ def reference_frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> FrozenS
     groups: dict[int, list[int]] = {}
     for v in verts:
         groups.setdefault(uf.find(index[v]), []).append(v)
-    comps = sorted(groups.values(), key=lambda c: (-len(c), c[0]))
-    return FrozenSubgraph(
-        components=tuple(tuple(c) for c in comps),
-        core=tuple(comps[0]) if comps else (),
-    )
+    return tuple(tuple(c) for c in groups.values())
 
 
 def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
@@ -778,6 +780,7 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     if frozen is None:
         return Decomposition(
             frozen={},
+            frozen_core=0,
             residual_components=rep.components,
             label="frustrated",
             cutoff=cutoff,
@@ -806,8 +809,10 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         label = "highly_decoupled"
     else:
         label = "unclassified"
+    core = max(reference_frozen_subgraph(inst, frozen), key=len, default=())
     return Decomposition(
         frozen=frozen,
+        frozen_core=len(core),
         residual_components=residual,
         label=label,
         cutoff=cutoff,

@@ -344,6 +344,14 @@ def test_parse_errors_exit_3(tmp_path, capsys):
             code, out, err = run_cli(cmd, str(edited), capsys=capsys)
             assert (code, out) == (3, ""), (cmd, extra)
             assert err.startswith("error: ") and key in err, (cmd, extra)
+    # a negative resample count, like a negative n, m or f
+    assert b" resamples=0" in head
+    negative = tmp_path / "negative.q2"
+    negative.write_bytes(text.replace(b" resamples=0", b" resamples=-7"))
+    for cmd in ("count", "analyze"):
+        code, out, err = run_cli(cmd, str(negative), capsys=capsys)
+        assert (code, out) == (3, ""), cmd
+        assert err == "error: negative count resamples=-7\n", cmd
 
 
 def test_predict_output(capsys):
@@ -355,6 +363,18 @@ def test_predict_output(capsys):
     assert lines["Q2"].startswith("1/2 = 0.5")
     assert lines["gamma_frustrate"].startswith("1 = 1.0")
     assert "decouple_condition" in lines
+
+
+@pytest.mark.parametrize(
+    "f, gamma, want",
+    [("4", "9e307", "1.3500000000000002e+308"), ("4", "1e308", "1.5e+308"), ("100", "1e308", "inf")],
+)
+def test_predict_decouple_condition_past_twice_gamma_overflow(capsys, f, gamma, want):
+    # 2 * gamma is past the float range; the condition is not, or is inf
+    # only where its value is
+    code, out, _ = run_cli("predict", "--f", f, "--gamma", gamma, capsys=capsys)
+    assert code == 0
+    assert f"\ndecouple_condition = {want}\n" in out
 
 
 def test_xi_output(capsys):

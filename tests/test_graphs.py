@@ -293,6 +293,25 @@ def test_components_match_union_find_reference(model, seed, data):
     assert all(type(x) is int for x in ints + [rep.max_size, rep.multicyclic_count])
 
 
+def test_component_labels_do_not_rely_on_the_library_numbering(monkeypatch):
+    # the labels count components by smallest vertex whatever order the
+    # connected-components routine numbers them in
+    g = sample_er_graph(60, 40, 3)
+    u, v = g.edge_array.T
+    want = graphs.component_labels(g.n, u, v)
+    labelling = graphs.connected_components
+
+    def reversed_labels(graph, directed):
+        ncomp, labels = labelling(graph, directed=directed)
+        return ncomp, ncomp - 1 - labels
+
+    monkeypatch.setattr(graphs, "connected_components", reversed_labels)
+    labels = graphs.component_labels(g.n, u, v)
+    assert labels.max() > 0 and labels[0] == 0
+    assert np.array_equal(labels, want)
+    assert np.array_equal(labels, reference_components(g).labels)
+
+
 def test_components_of_empty_and_edgeless_graphs():
     assert components(Graph(0, ())) == reference_components(Graph(0, ()))
     assert components(Graph(0, ())).labels.shape == (0,)

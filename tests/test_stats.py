@@ -227,6 +227,14 @@ def test_thresholds_er():
     assert rep1.gamma_frustrate is None  # Q2 = 0: no frustration at any density
 
 
+def test_decouple_condition_keeps_its_closed_form_bits():
+    for f in (1, 2, 3, 4, 7):
+        qinf = float(functionals(FactorDistribution.uniform(f)).qinf)
+        for gamma in (1e-300, 0.3, 1.4, 2.5, 1e10, 8.9e307):
+            rep = thresholds(FactorDistribution.uniform(f), gamma=gamma)
+            assert rep.decouple_condition == 2.0 * gamma * qinf - math.log(2.0 * gamma)
+
+
 def test_thresholds_lattice():
     d = FactorDistribution.uniform(3)
     rep2 = thresholds(d, model="lat2", p=0.3)

@@ -7,6 +7,7 @@ import pytest
 import qsat2.sweep as sweep_mod
 from qsat2.instances import ResampleBudgetError, satisfiable
 from qsat2.seeding import FACTOR_STREAM, GRAPH_STREAM, derive_trial_seed, stream_seed
+from qsat2.structure import decouple
 from qsat2.sweep import CSV_HEADER, SweepConfig, generate_instance, parse_config, run_sweep
 
 BASE_CFG = """
@@ -149,11 +150,11 @@ def test_rows_reproducible_from_seed_column():
     seed, n, m = int(row[2]), int(row[3]), int(row[4])
     assert seed == derive_trial_seed(77, 0, 0)
     inst = generate_instance(model="er", dist=cfg.dist, seed=seed, n=n, m=m)
-    dec, core = sweep_mod.analyze_instance(inst, cfg.cutoff_c)
+    dec = decouple(inst, cfg.cutoff_c)
     assert str(int(dec.label == "frustrated")) == row[5]
     assert str(dec.report.max_size) == row[6]
     assert str(dec.report.multicyclic_count) == row[7]
-    assert str(core) == row[8]
+    assert str(dec.frozen_core) == row[8]
     assert str(dec.residual_max) == row[9]
     assert dec.label == row[10]
 
