@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .counting import ComponentCapError, check_component_cap, component_value, product_tree
-from .graphs import MODELS
+from .graphs import MODELS, label_groups
 from .instances import (
     FactorDistribution,
     InstanceParseError,
@@ -57,11 +57,13 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.file)
     dec = decouple(inst, args.cutoff_c)
-    rep, residual = dec.report, dec.residual_components
+    rep = dec.report
     # per component of the graph: its frozen vertices and largest residual part
-    frozen_in = np.bincount(rep.labels[list(dec.frozen)], minlength=len(rep.components))
-    residual_in = np.zeros(len(rep.components), dtype=np.int64)
-    np.maximum.at(residual_in, rep.labels[[c[0] for c in residual]], [len(c) for c in residual])
+    alive = dec.residual_labels >= 0
+    residual = dec.residual_labels[alive]
+    frozen_in = np.bincount(rep.labels[~alive], minlength=len(rep.sizes))
+    residual_in = np.zeros(len(rep.sizes), dtype=np.int64)
+    np.maximum.at(residual_in, rep.labels[alive], np.bincount(residual)[residual])
     frozen_in, residual_in = frozen_in.tolist(), residual_in.tolist()
     print(
         f"instance n={inst.n} m={inst.m} f={inst.dist.f} "
@@ -69,13 +71,13 @@ def _cmd_analyze(args) -> int:
     )
     print(f"cutoff={dec.cutoff} (c*log2(n))")
     frustrated_ids = set(dec.frustrated_components)
-    for cid, (comp, cls) in enumerate(zip(rep.components, rep.classes)):
+    for cid, (size, cls) in enumerate(zip(rep.sizes, rep.classes)):
         if cid in frustrated_ids:
             label = "frustrated"
         else:
-            label = phase_label(len(comp), residual_in[cid], dec.cutoff)
+            label = phase_label(size, residual_in[cid], dec.cutoff)
         print(
-            f"C {cid} size={len(comp)} class={cls} frozen={frozen_in[cid]} "
+            f"C {cid} size={size} class={cls} frozen={frozen_in[cid]} "
             f"residual_max={residual_in[cid]} label={label}"
         )
     print(
@@ -94,7 +96,7 @@ def _cmd_count(args) -> int:
         print("VALUE 0 FRUSTRATED")
         return 0
     values = []
-    for cid, comp in enumerate(dec.residual_components):
+    for cid, comp in enumerate(label_groups(dec.residual_labels)):
         val = component_value(inst, comp, args.max_component, frozen=dec.frozen)
         values.append(val)
         print(f"C {cid} {len(comp)} {val}")

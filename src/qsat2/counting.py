@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactq import GaussianRational
+from .graphs import label_groups
 from .instances import Instance
 from .structure import Decomposition, decouple
 
@@ -247,12 +248,8 @@ def decomposition_value(inst: Instance, dec: Decomposition, max_component_qubits
     check_component_cap(max_component_qubits)
     if dec.label == "frustrated":
         return 0
-    return product_tree(
-        [
-            component_value(inst, comp, max_component_qubits, frozen=dec.frozen)
-            for comp in dec.residual_components
-        ]
-    )
+    comps = label_groups(dec.residual_labels)
+    return product_tree([component_value(inst, c, max_component_qubits, dec.frozen) for c in comps])
 
 
 def instance_value(inst: Instance, max_component_qubits: int = 16) -> int:

@@ -227,9 +227,10 @@ def sample_lattice(d: int, L: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """`labels` is a read-only int64 array: each vertex's index in `components`."""
+    """`labels` is a read-only int64 array: each vertex's component, numbered by
+    smallest vertex.  `sizes`, `edge_counts` and `classes` follow that order."""
 
-    components: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
     edge_counts: tuple[int, ...]
     classes: tuple[str, ...]
     max_size: int
@@ -252,32 +253,27 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.cumsum(lead == np.arange(n))[lead] - 1
 
 
-def vertex_components(
-    n: int, u: np.ndarray, v: np.ndarray
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The components of the graph on range(n) with edges (u[i], v[i]),
-    members ascending and ordered by their smallest vertex, and each
-    vertex's index into that list, its `component_labels` label."""
-    labels = component_labels(n, u, v)
+def label_groups(labels: np.ndarray) -> list[tuple[int, ...]]:
+    """The vertices of each label >= 0, members ascending, in label order;
+    a label that no vertex carries has no group."""
+    verts = np.flatnonzero(labels >= 0)
     # a stable sort keeps each label's vertices ascending
-    flat = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)], labels
+    flat = verts[np.argsort(labels[verts], kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(labels[verts])).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends) if a < b]
 
 
 def components(g: Graph) -> ComponentReport:
-    """Connected components with a tree/unicyclic/multicyclic class each.
-
-    Members ascend and components are ordered by their smallest vertex.
-    """
+    """Connected components, numbered by smallest vertex, with a
+    tree/unicyclic/multicyclic class each."""
     u, v = g.edge_array.T
-    comps, labels = vertex_components(g.n, u, v)
-    sizes = np.bincount(labels, minlength=len(comps))
-    counts = np.bincount(labels[u], minlength=len(comps))
+    labels = component_labels(g.n, u, v)
+    sizes = np.bincount(labels)
+    counts = np.bincount(labels[u], minlength=len(sizes))
     excess = np.minimum(counts - sizes + 1, 2)
     labels.flags.writeable = False
     return ComponentReport(
-        components=tuple(comps),
+        sizes=tuple(sizes.tolist()),
         edge_counts=tuple(counts.tolist()),
         classes=tuple(_CLASSES[e] for e in excess.tolist()),
         max_size=int(sizes.max(initial=0)),

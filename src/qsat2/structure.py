@@ -22,8 +22,8 @@ it arrived by (that edge is satisfied at the vertex it reached), and so
 reaches every vertex at most once and never returns to its start.  Nothing
 in a tree can clash.  Decoupling reads the instance's edge array: the
 residual split is one connected-components pass over the edges whose ends
-are both unfrozen, and with nothing frozen the residual components are the
-graph's components.
+are both unfrozen, and with nothing frozen the residual labels are the
+graph's labels.
 """
 
 from __future__ import annotations
@@ -40,26 +40,29 @@ from .graphs import (
     FigureEight,
     component_labels,
     components,
-    vertex_components,
+    fields_equal,
 )
 from .instances import Instance
 from .twosat import TwoSatEngine, solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """`frozen_core` is the size of the frozen core, 0 when nothing is frozen.
-    `frustrated_components` holds ascending indices into `report.components`
-    and is empty unless the label is frustrated."""
+    `residual_labels` (read-only int64) numbers the residual components densely
+    by smallest vertex and reads -1 at a frozen vertex.  `frustrated_components`
+    holds ascending numbers of `report.labels`, empty unless frustrated."""
 
     frozen: dict[int, int]
     frozen_core: int
-    residual_components: tuple[tuple[int, ...], ...]
+    residual_labels: np.ndarray
     label: str
     cutoff: int
     residual_max: int
     report: ComponentReport
     frustrated_components: tuple[int, ...]
+
+    __eq__ = fields_equal
 
 
 def _backbone(
@@ -68,8 +71,8 @@ def _backbone(
     """Entailed kernel states as vertex -> factor, and the frustrated components.
 
     Returns (backbone, ()) when the instance is satisfiable and (None,
-    frustrated) otherwise, frustrated being the ascending indices into
-    `rep.components` of the components whose vertices clash in the solve.
+    frustrated) otherwise, frustrated being the ascending numbers in
+    `rep.labels` of the components whose vertices clash in the solve.
     `rep` is the component report of the instance's graph.  Only the edges
     of its cyclic components go to the one full solve: tree components are
     satisfiable with an empty backbone (see the module docstring).  A state
@@ -82,7 +85,7 @@ def _backbone(
     again.
     """
     # a component is cyclic when it has at least as many edges as vertices
-    cyclic = np.asarray(rep.edge_counts) >= np.bincount(rep.labels, minlength=len(rep.components))
+    cyclic = np.asarray(rep.edge_counts) >= np.asarray(rep.sizes)
     edges = inst.edge_array
     edges = edges[cyclic[rep.labels[edges[:, 0]]]]
     clashing = solve(edges)
@@ -172,21 +175,22 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     cutoff = component_cutoff(g.n, cutoff_c)
     frozen, frustrated = _backbone(inst, rep)
     # a frustrated instance freezes nothing and keeps the graph's components
-    residual, residual_max, core = rep.components, rep.max_size, 0
+    residual, residual_max, core = rep.labels, rep.max_size, 0
     if frozen:
         alive = np.ones(g.n, dtype=bool)
         alive[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = False
+        index = np.cumsum(alive) - 1  # numbers the unfrozen vertices in order
         u, v = g.edge_array.T
         keep = alive[u] & alive[v]
-        # frozen vertices keep no edge, so each is a component of its own
-        comps, labels = vertex_components(g.n, u[keep], v[keep])
-        residual = tuple(c for c in comps if c[0] not in frozen)
-        residual_max = int(np.bincount(labels[alive]).max(initial=0))
+        residual = np.full(g.n, -1, dtype=np.int64)
+        residual[alive] = component_labels(g.n - len(frozen), index[u[keep]], index[v[keep]])
+        residual.flags.writeable = False
+        residual_max = int(np.bincount(residual[alive]).max(initial=0))
         core = len(frozen_subgraph(inst, frozen))
     return Decomposition(
         frozen={} if frozen is None else frozen,
         frozen_core=core,
-        residual_components=residual,
+        residual_labels=residual,
         label="frustrated" if frozen is None else phase_label(rep.max_size, residual_max, cutoff),
         cutoff=cutoff,
         residual_max=residual_max,

@@ -40,8 +40,8 @@ class SweepConfig:
     grid: tuple[float, ...]
     trials: int
     dist: FactorDistribution
-    n: int = 0  # er
-    L: int = 0  # lattices
+    n: int = 0  # er only
+    L: int = 0  # lattices only
     seed: int = 0
     cond: str = "any"  # any | free
     cutoff_c: float = 3.0
@@ -52,10 +52,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "er" and self.n < 1:
-            raise ValueError("er sweeps need n >= 1")
-        if self.model != "er" and self.L < 2:
-            raise ValueError("lattice sweeps need L >= 2")
+        # a size the model does not read would be ignored, so it is refused
+        if self.model == "er" and (self.n < 1 or self.L):
+            raise ValueError(f"er sweeps need n >= 1 and no L, not n={self.n}, L={self.L}")
+        if self.model != "er" and (self.L < 2 or self.n):
+            raise ValueError(f"lattice sweeps need L >= 2 and no n, not L={self.L}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.grid:
@@ -286,11 +287,11 @@ def parse_config(text: str) -> SweepConfig:
     def take(key: str, default: Optional[str] = None) -> Optional[str]:
         return kv.pop(key, default)
 
-    def flag(key: str) -> bool:
-        val = take(key, "off")
-        if val not in _BOOL:
-            raise ValueError(f"config key {key!r} takes one of {', '.join(_BOOL)}, not {val!r}")
-        return _BOOL[val]
+    def choice(key: str, choices, default: str) -> str:
+        val = take(key, default)
+        if val not in choices:
+            raise ValueError(f"config key {key!r} takes one of {', '.join(choices)}, not {val!r}")
+        return val
 
     def number(key: str, kind, default: str):
         return _convert(f"config key {key!r}", kind, take(key, default))
@@ -314,11 +315,11 @@ def parse_config(text: str) -> SweepConfig:
         n=number("n", int, "0"),
         L=number("L", int, "0"),
         seed=seed,
-        cond=read_cond(take("cond", "any")),
+        cond=read_cond(choice("cond", ("any", "ff", "free"), "any")),
         cutoff_c=number("cutoff_c", float, "3.0"),
         max_component_qubits=number("max_component_qubits", int, "16"),
-        fig8_l3=flag("fig8_l3"),
-        value=flag("value"),
+        fig8_l3=_BOOL[choice("fig8_l3", _BOOL, "off")],
+        value=_BOOL[choice("value", _BOOL, "off")],
     )
     if kv:
         raise ValueError(f"unknown config keys: {', '.join(sorted(kv))}")

@@ -263,9 +263,8 @@ def raw_instance_value(inst: Instance) -> int:
     frozen removed first; 0 iff frustrated."""
     if not satisfiable(inst):
         return 0
-    return product_tree(
-        [component_value(inst, comp) for comp in components(inst.graph).components]
-    )
+    comps = reference_label_groups(components(inst.graph).labels)
+    return product_tree([component_value(inst, comp) for comp in comps])
 
 
 def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:
@@ -693,6 +692,15 @@ class UnionFind:
         return True
 
 
+def reference_label_groups(labels: np.ndarray) -> list[tuple[int, ...]]:
+    """`graphs.label_groups` by a dict of lists, one Python step per vertex."""
+    groups: dict[int, list[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        if label >= 0:
+            groups.setdefault(label, []).append(v)
+    return [tuple(groups[label]) for label in sorted(groups)]
+
+
 def reference_components(g: Graph) -> ComponentReport:
     """`graphs.components` by union-find, one Python step per edge."""
     uf = UnionFind(g.n)
@@ -714,7 +722,7 @@ def reference_components(g: Graph) -> ComponentReport:
         excess = ec - len(comp) + 1
         classes.append("tree" if excess == 0 else "unicyclic" if excess == 1 else "multicyclic")
     return ComponentReport(
-        components=tuple(tuple(c) for c in comps),
+        sizes=tuple(len(c) for c in comps),
         edge_counts=counts,
         classes=tuple(classes),
         max_size=max((len(c) for c in comps), default=0),
@@ -781,14 +789,14 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         return Decomposition(
             frozen={},
             frozen_core=0,
-            residual_components=rep.components,
+            residual_labels=rep.labels,
             label="frustrated",
             cutoff=cutoff,
             residual_max=rep.max_size,
             report=rep,
             frustrated_components=tuple(
                 cid
-                for cid, comp in enumerate(rep.components)
+                for cid, comp in enumerate(reference_label_groups(rep.labels))
                 if not reference_component_satisfiable(inst, comp)
             ),
         )
@@ -801,7 +809,10 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     groups: dict[int, list[int]] = {}
     for v in alive:
         groups.setdefault(uf.find(index[v]), []).append(v)
-    residual = tuple(tuple(c) for c in sorted(groups.values()))
+    residual = sorted(groups.values())
+    residual_labels = np.full(g.n, -1, dtype=np.int64)
+    for rid, comp in enumerate(residual):
+        residual_labels[comp] = rid
     residual_max = max((len(c) for c in residual), default=0)
     if rep.max_size <= cutoff:
         label = "highly_disconnected"
@@ -813,7 +824,7 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     return Decomposition(
         frozen=frozen,
         frozen_core=len(core),
-        residual_components=residual,
+        residual_labels=residual_labels,
         label=label,
         cutoff=cutoff,
         residual_max=residual_max,
@@ -1057,4 +1068,4 @@ def frustration_certificate(inst: Instance) -> Optional[FrustrationCertificate]:
         if not inter:
             return FrustrationCertificate("loop", x, tuple(opts))
     first = dec.frustrated_components[0]
-    return FrustrationCertificate("twosat", dec.report.components[first][0])
+    return FrustrationCertificate("twosat", int(np.flatnonzero(dec.report.labels == first)[0]))

@@ -13,7 +13,13 @@ from itertools import product
 
 from qsat2.counting import instance_value, product_tree
 from qsat2.exactq import GQ_ZERO, kernel_ket
-from qsat2.graphs import components, enumerate_dominoes, enumerate_figure_eights, sample_lattice
+from qsat2.graphs import (
+    components,
+    enumerate_dominoes,
+    enumerate_figure_eights,
+    label_groups,
+    sample_lattice,
+)
 from qsat2.instances import FactorDistribution, satisfiable
 from qsat2.seeding import derive_trial_seed
 from qsat2.stats import (
@@ -48,7 +54,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def _marginals_sound(inst, frozen) -> bool:
     # every kernel vector factors through the frozen kernel state everywhere
-    for comp in components(inst.graph).components:
+    for comp in label_groups(components(inst.graph).labels):
         comp_sorted = sorted(comp)
         in_comp = [v for v in frozen if v in set(comp)]
         if not in_comp:

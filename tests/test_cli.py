@@ -14,7 +14,12 @@ from qsat2.graphs import Graph
 from qsat2.instances import FactorDistribution, load_instance, satisfiable, save_instance
 from qsat2.sweep import generate_instance
 
-from oracles import reference_component_satisfiable, reference_components, reference_decouple
+from oracles import (
+    reference_component_satisfiable,
+    reference_components,
+    reference_decouple,
+    reference_label_groups,
+)
 
 
 def run_cli(*args, capsys=None):
@@ -130,7 +135,7 @@ def test_analyze_frustrated_labels_match_reference(model, f, seed, data):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["analyze", path]) == 0
-    comps = reference_components(inst.graph).components
+    comps = reference_label_groups(reference_components(inst.graph).labels)
     lines = [ln.split() for ln in out.getvalue().splitlines() if ln.startswith("C ")]
     assert [int(ln[1]) for ln in lines] == list(range(len(comps)))
     for ln, comp in zip(lines, comps):
@@ -166,11 +171,13 @@ def test_analyze_component_lines_match_reference(model, f, cond, seed, c, data):
             assert main(["analyze", path, "--cutoff-c", str(c)]) == 0
     ref = reference_decouple(inst, c)
     lines = [ln.split() for ln in out.getvalue().splitlines() if ln.startswith("C ")]
-    assert len(lines) == len(ref.report.components)
-    for ln, comp in zip(lines, ref.report.components):
+    comps = reference_label_groups(ref.report.labels)
+    residual = reference_label_groups(ref.residual_labels)
+    assert len(lines) == len(comps)
+    for ln, comp in zip(lines, comps):
         members = set(comp)
         frozen = sum(1 for v in ref.frozen if v in members)
-        residual_max = max((len(rc) for rc in ref.residual_components if rc[0] in members), default=0)
+        residual_max = max((len(rc) for rc in residual if rc[0] in members), default=0)
         if len(comp) <= ref.cutoff:
             label = "highly_disconnected"
         elif residual_max <= ref.cutoff:

@@ -22,7 +22,7 @@ from qsat2.counting import (
     product_tree,
 )
 from qsat2.exactq import GQ_ZERO, bra
-from qsat2.graphs import Graph, components, sample_er_graph
+from qsat2.graphs import Graph, components, label_groups, sample_er_graph
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
 from qsat2.structure import decouple
 from qsat2.sweep import generate_instance
@@ -118,7 +118,7 @@ def test_value_matches_dense_oracle(seed, n, f):
 def test_modular_exact_and_dense_ranks_agree(seed):
     g = sample_er_graph(7, 9, seed=seed)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
-    for comp in components(g).components:
+    for comp in label_groups(components(g).labels):
         exact = _exact_rank(inst, comp)
         verified = _verified_rank(inst, comp)
         k = len(comp)
@@ -174,12 +174,12 @@ def _random_instance(model, f, cond, seed):
 def test_constraint_rows_match_full_scan(model, f, cond, seed):
     inst = _random_instance(model, f, cond, seed)
     dec = decouple(inst)
-    for comp in dec.residual_components:
+    for comp in label_groups(dec.residual_labels):
         if len(comp) <= _ROWS_MAX_K:
             assert list(block_rows(_constraint_blocks(inst, comp, dec.frozen))) == list(
                 reference_constraint_rows(inst, comp, dec.frozen)
             )
-    for comp in dec.report.components:
+    for comp in label_groups(dec.report.labels):
         if len(comp) <= _ROWS_MAX_K:
             assert list(block_rows(_constraint_blocks(inst, comp))) == list(
                 reference_constraint_rows(inst, comp)
@@ -191,7 +191,7 @@ def test_constraint_rows_match_full_scan(model, f, cond, seed):
 def test_constraint_rows_reject_an_unfrozen_crossing(model, f, cond, seed):
     inst = _random_instance(model, f, cond, seed)
     dec = decouple(inst)
-    small = [c for c in dec.residual_components if 2 <= len(c) <= _ROWS_MAX_K]
+    small = [c for c in label_groups(dec.residual_labels) if 2 <= len(c) <= _ROWS_MAX_K]
     assume(small)
     inside = set(small[0])
     # a residual component is connected through unfrozen edges; cutting one
@@ -217,12 +217,12 @@ def _ordered(basis):
 def test_rank_and_kernel_match_row_by_row_reference(model, f, cond, seed):
     inst = _random_instance(model, f, cond, seed)
     dec = decouple(inst)
-    for comp in dec.residual_components:
+    for comp in label_groups(dec.residual_labels):
         if len(comp) <= _ROWS_MAX_K:
             ref = reference_component_rank(inst, comp, dec.frozen)
             assert _verified_rank(inst, comp, dec.frozen) == ref
             assert _exact_rank(inst, comp, dec.frozen) == ref
-    for comp in dec.report.components:
+    for comp in label_groups(dec.report.labels):
         if len(comp) <= _ROWS_MAX_K:
             ref = reference_component_rank(inst, comp)
             assert _verified_rank(inst, comp) == ref
@@ -272,7 +272,7 @@ def test_prime_clash_escalates_to_exact(monkeypatch):
 def test_prime_disagreement_escalates_to_exact(monkeypatch):
     g = sample_er_graph(8, 10, seed=4)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=4)
-    comp = max(components(g).components, key=len)
+    comp = max(label_groups(components(g).labels), key=len)
     true_rank = _exact_rank(inst, comp)
     assert true_rank > 0
     real = counting._echelon_rank
@@ -311,7 +311,7 @@ def test_kernel_basis_spans_and_annihilates():
     for seed in range(15):
         g = sample_er_graph(6, 7, seed=seed)
         inst = sample_instance(g, FactorDistribution.uniform(2), seed=seed)
-        for comp in components(g).components:
+        for comp in label_groups(components(g).labels):
             basis = kernel_basis(inst, comp)
             assert len(basis) == component_value(inst, comp)
             rows = list(block_rows(_constraint_blocks(inst, comp)))
@@ -355,7 +355,7 @@ def test_component_cap_validation():
 def test_component_cap():
     g = sample_er_graph(20, 30, seed=1)
     inst = sample_instance(g, FactorDistribution.uniform(2), seed=1)
-    comp = max(components(g).components, key=len)
+    comp = max(label_groups(components(g).labels), key=len)
     with pytest.raises(ComponentCapError) as ei:
         component_value(inst, comp, 4)
     err = ei.value

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsat2 import graphs
@@ -15,6 +15,7 @@ from qsat2.graphs import (
     enumerate_cycles,
     enumerate_dominoes,
     enumerate_figure_eights,
+    label_groups,
     lattice_coord,
     lattice_vertex,
     sample_er_graph,
@@ -23,6 +24,7 @@ from qsat2.graphs import (
 
 from oracles import (
     reference_components,
+    reference_label_groups,
     reference_edge_error,
     reference_sample_er_graph,
     reference_sample_lattice,
@@ -234,7 +236,8 @@ def test_component_classes():
         tuple(sorted([(1, 2), (3, 4), (4, 5), (3, 5), (6, 7), (6, 8), (7, 8), (7, 9), (8, 9)])),
     )
     rep = components(g)
-    assert rep.components == ((0,), (1, 2), (3, 4, 5), (6, 7, 8, 9))
+    assert label_groups(rep.labels) == [(0,), (1, 2), (3, 4, 5), (6, 7, 8, 9)]
+    assert rep.sizes == (1, 2, 3, 4)
     assert rep.classes == ("tree", "tree", "unicyclic", "multicyclic")
     assert rep.edge_counts == (0, 1, 3, 5)
     assert rep.max_size == 4
@@ -267,8 +270,10 @@ def test_components_match_bfs(n, data):
             stack.extend(adj[x] - comp)
         seen |= comp
         parts.append(tuple(sorted(comp)))
-    assert rep.components == tuple(sorted(parts))
-    for comp, ec, cls in zip(rep.components, rep.edge_counts, rep.classes):
+    comps = label_groups(rep.labels)
+    assert comps == sorted(parts)
+    assert rep.sizes == tuple(len(c) for c in comps)
+    for comp, ec, cls in zip(comps, rep.edge_counts, rep.classes):
         inner = sum(1 for u, v in edges if u in comp and v in comp)
         assert inner == ec
         excess = ec - len(comp) + 1
@@ -289,7 +294,7 @@ def test_components_match_union_find_reference(model, seed, data):
     assert rep == ref
     assert np.array_equal(rep.labels, ref.labels)
     assert rep.labels.dtype == np.int64 and not rep.labels.flags.writeable
-    ints = [v for comp in rep.components for v in comp] + list(rep.edge_counts)
+    ints = list(rep.sizes) + list(rep.edge_counts)
     assert all(type(x) is int for x in ints + [rep.max_size, rep.multicyclic_count])
 
 
@@ -316,9 +321,28 @@ def test_components_of_empty_and_edgeless_graphs():
     assert components(Graph(0, ())) == reference_components(Graph(0, ()))
     assert components(Graph(0, ())).labels.shape == (0,)
     rep = components(Graph(3, ()))
-    assert rep.components == ((0,), (1,), (2,)) and rep.classes == ("tree",) * 3
+    assert label_groups(rep.labels) == [(0,), (1,), (2,)] and rep.classes == ("tree",) * 3
+    assert rep.sizes == (1, 1, 1)
     assert rep == reference_components(Graph(3, ()))
     assert rep.labels.tolist() == [0, 1, 2]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.just(-1), st.integers(0, 9)), max_size=40))
+@example([])
+@example([-1, -1, -1])
+@example([4, -1, 0, 4, 9, -1, 0])
+def test_label_groups_match_dict_grouping(labels):
+    # -1 marks a vertex in no group; labels may skip numbers
+    groups = label_groups(np.array(labels, dtype=np.int64))
+    assert groups == reference_label_groups(np.array(labels, dtype=np.int64))
+    # membership: every labelled vertex once, in the group of its label
+    assert sorted(v for grp in groups for v in grp) == [v for v, x in enumerate(labels) if x >= 0]
+    assert all(len({labels[v] for v in grp}) == 1 for grp in groups)
+    # members ascend, and groups run in label order
+    assert all(list(grp) == sorted(grp) for grp in groups)
+    assert [labels[grp[0]] for grp in groups] == sorted(set(labels) - {-1})
+    assert all(type(v) is int for grp in groups for v in grp)
 
 
 def complete_graph(n):

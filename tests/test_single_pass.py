@@ -5,7 +5,8 @@ consumer (the counter, the sweep, the CLI) reads the decomposition that
 `decouple` built instead of deciding the instance again.  On a frustrated
 instance the same solve names the frustrated components.  Code that needs
 one component's edges reads them from the instance's incident index, which
-is built once per instance.
+is built once per instance.  Partitions travel as label arrays; only the
+counter turns one into vertex tuples, once per instance it counts.
 """
 
 from functools import cached_property
@@ -40,11 +41,9 @@ _MODULES = (
 )
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count 2-SAT solves and component passes."""
-    seen = {"solve": 0, "components": 0}
-    originals = {"solve": qsat2.twosat.solve, "components": qsat2.graphs.components}
+def _count_calls(monkeypatch, originals):
+    """Wrap each named function wherever it is bound; return the call counts."""
+    seen = dict.fromkeys(originals, 0)
 
     def counted(name):
         def wrapper(*args):
@@ -62,6 +61,20 @@ def calls(monkeypatch):
 
 
 @pytest.fixture
+def calls(monkeypatch):
+    """Count 2-SAT solves and component passes."""
+    return _count_calls(
+        monkeypatch, {"solve": qsat2.twosat.solve, "components": qsat2.graphs.components}
+    )
+
+
+@pytest.fixture
+def groupings(monkeypatch):
+    """Count the calls that turn a label array into vertex tuples."""
+    return _count_calls(monkeypatch, {"label_groups": qsat2.graphs.label_groups})
+
+
+@pytest.fixture
 def sat_instance():
     return generate_instance(
         model="er", dist=FactorDistribution.uniform(3), seed=11, n=60, m=100, cond="free"
@@ -75,7 +88,7 @@ def frustrated_instance():
         model="er", dist=FactorDistribution.uniform(2), seed=0, n=300, m=600
     )
     dec = decouple(inst)
-    assert dec.frustrated_components == (0,) and len(dec.report.components) > 1
+    assert dec.frustrated_components == (0,) and len(dec.report.sizes) > 1
     return inst
 
 
@@ -120,6 +133,32 @@ def test_sweep_trial_solves_once(calls, value, cond):
     _assert_single_pass(calls, per=6)
 
 
+@pytest.mark.parametrize("model", ["er", "lat2"])
+def test_sweep_groups_vertices_only_to_count_them(groupings, model):
+    size = "n=80\ngrid=0.5,1.2\n" if model == "er" else "L=8\ngrid=0.4,0.6\n"
+    text = f"model={model}\n{size}trials=3\nf=3\nseed=6\nfig8_l3=on\n"
+    run_sweep(parse_config(text))
+    assert groupings == {"label_groups": 0}
+    rows = [ln.split(",") for ln in run_sweep(parse_config(text + "value=on\n")).splitlines()]
+    solved = [r for r in rows[1:] if r[1] != "summary" and r[5] == "0"]
+    assert 0 < len(solved) < 6  # frustrated trials too, which are not counted
+    assert groupings == {"label_groups": len(solved)}
+
+
+def test_cli_groups_vertices_only_to_count(
+    groupings, sat_instance, frustrated_instance, tmp_path, capsys
+):
+    for name, inst in (("sat", sat_instance), ("frustrated", frustrated_instance)):
+        path = str(tmp_path / f"{name}.q2")
+        save_instance(inst, path)
+        for command in ("count", "analyze"):
+            groupings.update(label_groups=0)
+            assert main([command, path]) == 0
+            want = command == "count" and name == "sat"
+            assert groupings == {"label_groups": int(want)}, (command, name)
+    capsys.readouterr()
+
+
 @pytest.fixture
 def incident_builds(monkeypatch):
     """Count how often any instance builds its incident index."""
@@ -146,7 +185,7 @@ def test_count_builds_incident_index_once(incident_builds, sat_instance, tmp_pat
 
 def test_decomposition_value_builds_incident_index_once(incident_builds, sat_instance):
     dec = decouple(sat_instance)
-    assert len(dec.residual_components) > 1
+    assert dec.residual_labels.max() > 0  # several residual components
     assert decomposition_value(sat_instance, dec) > 0
     assert incident_builds == [sat_instance]
 

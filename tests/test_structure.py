@@ -2,6 +2,7 @@ import random
 from functools import cached_property
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from qsat2.graphs import (
     components,
     enumerate_dominoes,
     enumerate_figure_eights,
+    label_groups,
     sample_er_graph,
     sample_lattice,
 )
@@ -163,7 +165,7 @@ def test_fixed_states_sound():
         frozen = dec.frozen
         # frozen marginals: every kernel vector is supported on the frozen
         # kernel state of each frozen qubit
-        for comp in components(inst.graph).components:
+        for comp in label_groups(components(inst.graph).labels):
             basis = kernel_basis(inst, comp)
             comp_sorted = sorted(comp)
             for v, s in frozen.items():
@@ -295,7 +297,7 @@ def test_decouple_residual_components():
     inst = build_figure_eight(a, b2)
     dec = decouple(inst, cutoff_c=0.5)
     assert dec.frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-    assert dec.residual_components == ()
+    assert dec.residual_labels.tolist() == [-1] * 5 and label_groups(dec.residual_labels) == []
     assert dec.residual_max == 0
     assert dec.label == "highly_decoupled"
 
@@ -319,14 +321,16 @@ def test_decouple_matches_reference(model, f, cond, seed, data):
         model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
     )
     cutoff_c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
-    assert decouple(inst, cutoff_c) == reference_decouple(inst, cutoff_c)
+    dec = decouple(inst, cutoff_c)
+    assert dec == reference_decouple(inst, cutoff_c)
+    assert dec.residual_labels.dtype == np.int64 and not dec.residual_labels.flags.writeable
 
 
 def test_decouple_everything_frozen_leaves_no_residual():
     inst = generate_instance("er", FactorDistribution.uniform(4), 0, n=12, m=30, cond="free")
     dec = decouple(inst)
     assert len(dec.frozen) == inst.n
-    assert dec.residual_components == () and dec.residual_max == 0
+    assert dec.residual_labels.tolist() == [-1] * inst.n and dec.residual_max == 0
     assert dec == reference_decouple(inst)
 
 
@@ -353,7 +357,7 @@ def test_forest_never_reaches_the_solve(n, f, data):
         dec = decouple(inst)
     assert seen == [0]
     assert dec.frozen == {} == reference_backbone(inst)
-    assert dec.residual_components == dec.report.components
+    assert dec.residual_labels is dec.report.labels
 
 
 def test_frustrated_decouple_builds_no_incident_index(monkeypatch):
@@ -453,7 +457,8 @@ def test_component_satisfiable_split():
     inst = inst_of(7, edges, [lookup[e] for e in edges], 4)
     assert not satisfiable(inst)
     dec = decouple(inst)
-    assert dec.report.components == ((0, 1, 2, 3, 4), (5, 6))
+    assert label_groups(dec.report.labels) == [(0, 1, 2, 3, 4), (5, 6)]
+    assert dec.report.sizes == (5, 2)
     assert dec.frustrated_components == (0,)
     assert not reference_component_satisfiable(inst, (0, 1, 2, 3, 4))
     assert reference_component_satisfiable(inst, (5, 6))
@@ -474,7 +479,7 @@ def test_component_satisfiable_matches_full_scan(model, f, cond, seed):
     kw = dict(n=60, m=60) if model == "er" else dict(L=8, p=0.6)
     inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
     dec = decouple(inst)
-    comps = dec.report.components
+    comps = label_groups(dec.report.labels)
     verdicts = [cid not in dec.frustrated_components for cid in range(len(comps))]
     assert verdicts == [reference_component_satisfiable(inst, c) for c in comps]
     assert all(verdicts) == satisfiable(inst) == (dec.label != "frustrated")

@@ -269,6 +269,12 @@ INVALID_SWEEPS = {
         "model=er\nn=50\ngrid=1.0\ntrials=2\nq=1/2,1/2\nf=3\n",
         "'f' is 3, but q lists 2 weights",
     ),
+    "lat2_reads_no_n": ("model=lat2\nL=4\nn=100000\ngrid=0.5\ntrials=2\nf=2\n", "no n, not L=4, n=100000"),
+    "er_reads_no_L": ("model=er\nn=50\nL=7\ngrid=1.0\ntrials=2\nf=2\n", "no L, not n=50, L=7"),
+    "cond_spelling": (
+        "model=er\nn=50\ngrid=1.0\ntrials=2\nf=2\ncond=xx\n",
+        "config key 'cond' takes one of any, ff, free, not 'xx'",
+    ),
     "uniform_without_f": (
         "model=er\nn=50\ngrid=1.0\ntrials=2\n",
         "config key 'q' uniform needs config key 'f' of at least 1",
