@@ -82,7 +82,7 @@ def _cmd_analyze(args) -> int:
         )
     print(
         f"GLOBAL frustrated={int(dec.label == 'frustrated')} label={dec.label} "
-        f"frozen={len(dec.frozen)} frozen_core={dec.frozen_core} "
+        f"frozen={np.count_nonzero(dec.frozen >= 0)} frozen_core={dec.frozen_core} "
         f"max_comp={rep.max_size} residual_max={dec.residual_max}"
     )
     return 0

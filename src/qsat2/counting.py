@@ -98,7 +98,7 @@ class _ModField:
 
 
 # a field holds only p and its square root of -1, so one per prime serves every rank
-_MOD_FIELDS = {p: _ModField(p) for p in MOD_PRIMES}
+_MOD_FIELDS = tuple(_ModField(p) for p in MOD_PRIMES)
 
 
 class _ExactField:
@@ -129,7 +129,7 @@ class _ExactField:
 def _constraint_blocks(
     inst: Instance,
     component: Sequence[int],
-    frozen: Optional[dict] = None,
+    frozen: Optional[Sequence[int]] = None,
 ) -> Iterable[tuple[list[tuple[int, GaussianRational]], int]]:
     """Constraint rows over the component's 2^k basis, one block per edge.
 
@@ -151,7 +151,7 @@ def _constraint_blocks(
         for v, h, j in inst.incident[u]:
             pv = local.get(v)
             if pv is None:
-                if frozen is not None and frozen.get(v) == j:
+                if frozen is not None and frozen[v] == j:
                     continue
                 raise ValueError(f"edge ({min(u, v)},{max(u, v)}) crosses the component boundary")
             if v < u:
@@ -188,17 +188,15 @@ def _echelon_rank(blocks: Iterable, field) -> int:
     return len(basis)
 
 
-def _verified_rank(inst: Instance, component: Sequence[int], frozen: Optional[dict] = None) -> int:
+def _verified_rank(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
+) -> int:
     """The rank modulo both MOD_PRIMES; a clash or a disagreement settles it exactly."""
-    ranks = set()
-    for p in MOD_PRIMES:
-        try:
-            ranks.add(_echelon_rank(_constraint_blocks(inst, component, frozen), _MOD_FIELDS[p]))
-        except _PrimeClash:
-            return _exact_rank(inst, component, frozen)
-    if len(ranks) != 1:
-        return _exact_rank(inst, component, frozen)
-    return ranks.pop()
+    try:
+        ranks = {_echelon_rank(_constraint_blocks(inst, component, frozen), fd) for fd in _MOD_FIELDS}
+    except _PrimeClash:
+        ranks = set()
+    return ranks.pop() if len(ranks) == 1 else _exact_rank(inst, component, frozen)
 
 
 def _exact_rank(inst, component, frozen=None) -> int:
@@ -209,7 +207,7 @@ def component_value(
     inst: Instance,
     component: Sequence[int],
     max_component_qubits: int = 16,
-    frozen: Optional[dict] = None,
+    frozen: Optional[Sequence[int]] = None,
 ) -> int:
     """Ground-space dimension 2^k - rank restricted to one component.
 

@@ -48,12 +48,13 @@ from .twosat import TwoSatEngine, solve
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """`frozen_core` is the size of the frozen core, 0 when nothing is frozen.
-    `residual_labels` (read-only int64) numbers the residual components densely
-    by smallest vertex and reads -1 at a frozen vertex.  `frustrated_components`
-    holds ascending numbers of `report.labels`, empty unless frustrated."""
+    """Per-vertex read-only int64 arrays: `frozen` holds each vertex's frozen
+    factor index, -1 where none is (everywhere on a frustrated instance), and
+    `residual_labels` numbers the residual components densely by smallest
+    vertex, -1 at a frozen vertex.  `frustrated_components` holds ascending
+    numbers of `report.labels`, empty unless frustrated."""
 
-    frozen: dict[int, int]
+    frozen: np.ndarray
     frozen_core: int
     residual_labels: np.ndarray
     label: str
@@ -67,8 +68,8 @@ class Decomposition:
 
 def _backbone(
     inst: Instance, rep: ComponentReport
-) -> tuple[Optional[dict[int, int]], tuple[int, ...]]:
-    """Entailed kernel states as vertex -> factor, and the frustrated components.
+) -> tuple[Optional[np.ndarray], tuple[int, ...]]:
+    """Each vertex's entailed factor index, -1 if none, and the frustrated components.
 
     Returns (backbone, ()) when the instance is satisfiable and (None,
     frustrated) otherwise, frustrated being the ascending numbers in
@@ -92,32 +93,31 @@ def _backbone(
     if clashing:
         return None, tuple(np.unique(rep.labels[clashing]).tolist())
     if not len(edges):
-        return {}, ()
+        return np.full(inst.n, -1, dtype=np.int64), ()
     # the key v*f + h of x[v,h] for both sides of every edge, ascending
     f = inst.dist.f
     keys = np.unique(edges[:, :2] * f + edges[:, 2:])
     # the probes walk cyclic components only, whose edges the index lists
     eng = TwoSatEngine(inst.n, inst.incident)
     for v, h in zip((keys // f).tolist(), (keys % f).tolist()):
-        if eng.frozen[v] is None and eng.pinned_to(v, h):
+        if eng.frozen[v] < 0 and eng.pinned_to(v, h):
             eng.freeze(v, h)
-    return {v: s for v, s in enumerate(eng.frozen) if s is not None}, ()
+    return np.array(eng.frozen, dtype=np.int64), ()
 
 
-def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> tuple[int, ...]:
+def frozen_subgraph(inst: Instance, frozen: np.ndarray) -> tuple[int, ...]:
     """The frozen core, ascending: the largest group of frozen vertices joined
     by arcs x -> y, one wherever x's frozen state fails to satisfy the edge
     at x, and of equal groups the one with the smallest vertex.
 
-    Any such arc's target must itself be frozen, or the input was not closed
-    under propagation.  Returns () when nothing is frozen.
+    Any such arc's target must itself be frozen, not -1, or the input was not
+    closed under propagation.  Returns () when nothing is frozen.
     """
-    if not frozen:
+    verts = np.flatnonzero(frozen >= 0)
+    if not verts.size:
         return ()
-    state = np.full(inst.n, -1, dtype=np.int64)
-    state[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = list(frozen.values())
     u, v, h, j = inst.edge_array.T
-    fu, fv = state[u], state[v]
+    fu, fv = frozen[u], frozen[v]
     fwd = (fu >= 0) & (fu != h)
     back = (fv >= 0) & (fv != j)
     leaks = np.flatnonzero(fwd & (fv < 0) | back & (fu < 0))
@@ -129,7 +129,6 @@ def frozen_subgraph(inst: Instance, frozen: dict[int, int]) -> tuple[int, ...]:
         raise ValueError(f"arc {x}->{y} leaves the frozen set")
     arc = fwd | back
     labels = component_labels(inst.n, u[arc], v[arc])
-    verts = np.flatnonzero(state >= 0)
     groups = labels[verts]
     # groups are numbered by smallest vertex, so argmax breaks a tie by it
     return tuple(verts[groups == np.bincount(groups).argmax()].tolist())
@@ -175,23 +174,24 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     cutoff = component_cutoff(g.n, cutoff_c)
     frozen, frustrated = _backbone(inst, rep)
     # a frustrated instance freezes nothing and keeps the graph's components
+    frozen = np.full(g.n, -1, dtype=np.int64) if frozen is None else frozen
+    frozen.flags.writeable = False
+    alive = frozen < 0
     residual, residual_max, core = rep.labels, rep.max_size, 0
-    if frozen:
-        alive = np.ones(g.n, dtype=bool)
-        alive[np.fromiter(frozen, dtype=np.int64, count=len(frozen))] = False
+    if not alive.all():
         index = np.cumsum(alive) - 1  # numbers the unfrozen vertices in order
         u, v = g.edge_array.T
         keep = alive[u] & alive[v]
         residual = np.full(g.n, -1, dtype=np.int64)
-        residual[alive] = component_labels(g.n - len(frozen), index[u[keep]], index[v[keep]])
+        residual[alive] = component_labels(int(index[-1]) + 1, index[u[keep]], index[v[keep]])
         residual.flags.writeable = False
         residual_max = int(np.bincount(residual[alive]).max(initial=0))
         core = len(frozen_subgraph(inst, frozen))
     return Decomposition(
-        frozen={} if frozen is None else frozen,
+        frozen=frozen,
         frozen_core=core,
         residual_labels=residual,
-        label="frustrated" if frozen is None else phase_label(rep.max_size, residual_max, cutoff),
+        label="frustrated" if frustrated else phase_label(rep.max_size, residual_max, cutoff),
         cutoff=cutoff,
         residual_max=residual_max,
         report=rep,

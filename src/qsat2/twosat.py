@@ -53,8 +53,8 @@ class TwoSatEngine:
     queries a fixed index, such as `Instance.incident`.
 
     `frozen[v]` caches a factor index entailed for v by the current clause
-    set.  Queries use it to stop early; callers must only freeze entailed
-    states, and `freeze` keeps the cache closed under the BFS transition.
+    set, -1 for none.  Queries use it to stop early; callers must only freeze
+    entailed states, and `freeze` keeps the cache closed under the BFS transition.
     """
 
     __slots__ = ("incident", "frozen")
@@ -63,7 +63,7 @@ class TwoSatEngine:
         self, n: int, incident: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None
     ):
         self.incident = [[] for _ in range(n)] if incident is None else incident
-        self.frozen: list[Optional[int]] = [None] * n
+        self.frozen: list[int] = [-1] * n
 
     def add_edge(self, u: int, v: int, h: int, j: int) -> None:
         self.incident[u].append((v, h, j))
@@ -83,14 +83,14 @@ class TwoSatEngine:
         queue: list[tuple[int, int]] = []
         for v, s in starts:
             fv = self.frozen[v]
-            if fv is not None and fv != s:
+            if fv >= 0 and fv != s:
                 return None
             if v in visited:
                 if visited[v] != s:
                     return None
                 continue
             visited[v] = s
-            if fv is None:
+            if fv < 0:
                 queue.append((v, s))
         head = 0
         while head < len(queue):
@@ -100,7 +100,7 @@ class TwoSatEngine:
                 if hv == s:
                     continue
                 fw = self.frozen[w]
-                if fw is not None:
+                if fw >= 0:
                     if fw != jw:
                         return None
                     visited.setdefault(w, jw)
@@ -123,7 +123,7 @@ class TwoSatEngine:
         closure, O(n + m), is the whole query.
         """
         fu = self.frozen[u]
-        if fu is not None:
+        if fu >= 0:
             return fu == k
         return self._closure([(u, k)]) is not None
 
@@ -140,7 +140,7 @@ class TwoSatEngine:
         query.
         """
         fu = self.frozen[u]
-        if fu is not None:
+        if fu >= 0:
             return fu == k
         return self._closure([(w, jw) for w, hv, jw in self.incident[u] if hv == k]) is None
 

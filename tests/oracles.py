@@ -122,7 +122,7 @@ def dense_instance_value(inst: Instance) -> int:
 
 
 def reference_constraint_rows(
-    inst: Instance, component: Sequence[int], frozen: Optional[dict] = None
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
 ) -> Iterator[list[tuple[int, GaussianRational]]]:
     """Sparse constraint rows of one component by a scan over every edge.
 
@@ -139,7 +139,7 @@ def reference_constraint_rows(
         inu, inv_ = u in local, v in local
         if inu != inv_:
             out_v, out_h = (v, j) if inu else (u, h)
-            if frozen is not None and frozen.get(out_v) == out_h:
+            if frozen is not None and frozen[out_v] == out_h:
                 continue
             raise ValueError(f"edge ({u},{v}) crosses the component boundary")
         if not inu:
@@ -190,7 +190,7 @@ def reference_echelon_rank(rows, field, basis_out: Optional[dict] = None) -> int
 
 
 def reference_component_rank(
-    inst: Instance, component: Sequence[int], frozen: Optional[dict] = None
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
 ) -> int:
     """`counting._verified_rank` over the full-scan rows, one row at a time.
 
@@ -347,7 +347,7 @@ def reference_pinned_to(eng: TwoSatEngine, u: int, k: int) -> bool:
     u's side; u is pinned exactly when that closure collapses.
     """
     fu = eng.frozen[u]
-    if fu is not None:
+    if fu >= 0:
         return fu == k
     starts = [(w, jw) for w, hv, jw in eng.incident[u] if hv == k]
     if not starts:
@@ -356,7 +356,7 @@ def reference_pinned_to(eng: TwoSatEngine, u: int, k: int) -> bool:
     queue: list[tuple[int, int]] = []
     for w, s in starts:
         fw = eng.frozen[w]
-        if fw is not None and fw != s:
+        if fw >= 0 and fw != s:
             return True
         if w in visited:
             if visited[w] != s:
@@ -365,7 +365,7 @@ def reference_pinned_to(eng: TwoSatEngine, u: int, k: int) -> bool:
         if w == u and s == k:
             return True
         visited[w] = s
-        if fw is None:
+        if fw < 0:
             queue.append((w, s))
     head = 0
     while head < len(queue):
@@ -377,7 +377,7 @@ def reference_pinned_to(eng: TwoSatEngine, u: int, k: int) -> bool:
             if w == u and jw == k:
                 return True
             fw = eng.frozen[w]
-            if fw is not None:
+            if fw >= 0:
                 if fw != jw:
                     return True
                 continue
@@ -403,10 +403,10 @@ def loop_seed_fixed_states(inst: Instance) -> dict[int, int]:
         inter = frozenset.intersection(*opts)
         if len(inter) == 1:
             (h,) = inter
-            if eng.frozen[x] is None:
+            if eng.frozen[x] < 0:
                 eng.freeze(x, h)
             assert eng.frozen[x] == h, "conflicting fixed states"
-    return {v: s for v, s in enumerate(eng.frozen) if s is not None}
+    return {v: s for v, s in enumerate(eng.frozen) if s >= 0}
 
 
 def brute_force_backbone(inst: Instance) -> Optional[dict[int, int]]:
@@ -742,9 +742,18 @@ def reference_backbone(inst: Instance) -> Optional[dict[int, int]]:
     for e in edges:
         eng.add_edge(*e)
     for v, h in enumerate(witness):
-        if h is not None and eng.frozen[v] is None and eng.pinned_to(v, h):
+        if h is not None and eng.frozen[v] < 0 and eng.pinned_to(v, h):
             eng.freeze(v, h)
-    return {v: s for v, s in enumerate(eng.frozen) if s is not None}
+    return {v: s for v, s in enumerate(eng.frozen) if s >= 0}
+
+
+def frozen_states(n: int, frozen: dict[int, int]) -> np.ndarray:
+    """An oracle's vertex -> factor dict as `Decomposition.frozen`'s state
+    array: the factor index at each frozen vertex, -1 elsewhere."""
+    states = np.full(n, -1, dtype=np.int64)
+    for v, s in frozen.items():
+        states[v] = s
+    return states
 
 
 def reference_frozen_subgraph(
@@ -787,7 +796,7 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     frozen = reference_backbone(inst)
     if frozen is None:
         return Decomposition(
-            frozen={},
+            frozen=frozen_states(g.n, {}),
             frozen_core=0,
             residual_labels=rep.labels,
             label="frustrated",
@@ -822,7 +831,7 @@ def reference_decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
         label = "unclassified"
     core = max(reference_frozen_subgraph(inst, frozen), key=len, default=())
     return Decomposition(
-        frozen=frozen,
+        frozen=frozen_states(g.n, frozen),
         frozen_core=len(core),
         residual_labels=residual_labels,
         label=label,

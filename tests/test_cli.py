@@ -176,7 +176,7 @@ def test_analyze_component_lines_match_reference(model, f, cond, seed, c, data):
     assert len(lines) == len(comps)
     for ln, comp in zip(lines, comps):
         members = set(comp)
-        frozen = sum(1 for v in ref.frozen if v in members)
+        frozen = sum(1 for v in comp if ref.frozen[v] >= 0)
         residual_max = max((len(rc) for rc in residual if rc[0] in members), default=0)
         if len(comp) <= ref.cutoff:
             label = "highly_disconnected"

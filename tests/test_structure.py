@@ -39,6 +39,7 @@ from oracles import (
     reference_backbone,
     reference_component_satisfiable,
     reference_decouple,
+    frozen_states,
     reference_frozen_subgraph,
     vertex_options,
 )
@@ -129,7 +130,7 @@ def test_figure_eight_frustration_cases():
     b2 = [(1, 3), (1, 3), (3, 1)]
     sat = build_figure_eight(a, b2)
     assert satisfiable(sat)
-    assert decouple(sat).frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert decouple(sat).frozen.tolist() == [1, 1, 1, 1, 1]
     assert instance_value(sat) == 1
 
 
@@ -168,8 +169,8 @@ def test_fixed_states_sound():
         for comp in label_groups(components(inst.graph).labels):
             basis = kernel_basis(inst, comp)
             comp_sorted = sorted(comp)
-            for v, s in frozen.items():
-                if v not in comp_sorted:
+            for v, s in enumerate(frozen.tolist()):
+                if s < 0 or v not in comp_sorted:
                     continue
                 pu = comp_sorted.index(v)
                 ket = _kernel_ket_coords(inst, s)
@@ -200,10 +201,13 @@ def test_frozen_set_is_the_backbone(model, f, cond, seed, data):
     )
     dec = decouple(inst)
     backbone = brute_force_backbone(inst)
+    assert dec.frozen.dtype == np.int64 and dec.frozen.shape == (inst.n,)
+    assert not dec.frozen.flags.writeable
     if backbone is None:
-        assert dec.label == "frustrated" and dec.frozen == {}
+        assert dec.label == "frustrated" and dec.frozen.tolist() == [-1] * inst.n
     else:
-        assert dec.frozen == backbone == loop_seed_fixed_states(inst)
+        assert backbone == loop_seed_fixed_states(inst)
+        assert np.array_equal(dec.frozen, frozen_states(inst.n, backbone))
 
 
 @pytest.mark.parametrize("f,gamma", [(2, 0.8), (3, 1.5), (4, 2.5)])
@@ -222,8 +226,9 @@ def test_frozen_set_matches_loop_seeds_at_scale(f, gamma):
             dec = decouple(inst)
             if dec.label == "frustrated":
                 continue
-            assert dec.frozen == loop_seed_fixed_states(inst), (f, cond, t)
-            frozen_total += len(dec.frozen)
+            want = frozen_states(inst.n, loop_seed_fixed_states(inst))
+            assert np.array_equal(dec.frozen, want), (f, cond, t)
+            frozen_total += np.count_nonzero(dec.frozen >= 0)
     assert frozen_total > 0
 
 
@@ -267,7 +272,7 @@ def test_decouple_on_frustrated():
     assert not satisfiable(inst)
     dec = decouple(inst)
     assert dec.label == "frustrated"
-    assert dec.frozen == {}
+    assert dec.frozen.tolist() == [-1] * 5
     assert dec.residual_max == dec.report.max_size == 5
 
 
@@ -287,7 +292,7 @@ def test_decouple_labels():
     dec2 = decouple(inst2, cutoff_c=1.0)
     assert dec2.report.max_size == n
     assert dec2.label == "unclassified"
-    assert dec2.frozen == {}
+    assert dec2.frozen.tolist() == [-1] * n
 
 
 def test_decouple_residual_components():
@@ -296,7 +301,7 @@ def test_decouple_residual_components():
     b2 = [(1, 3), (1, 3), (3, 1)]
     inst = build_figure_eight(a, b2)
     dec = decouple(inst, cutoff_c=0.5)
-    assert dec.frozen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert dec.frozen.tolist() == [1, 1, 1, 1, 1]
     assert dec.residual_labels.tolist() == [-1] * 5 and label_groups(dec.residual_labels) == []
     assert dec.residual_max == 0
     assert dec.label == "highly_decoupled"
@@ -329,7 +334,7 @@ def test_decouple_matches_reference(model, f, cond, seed, data):
 def test_decouple_everything_frozen_leaves_no_residual():
     inst = generate_instance("er", FactorDistribution.uniform(4), 0, n=12, m=30, cond="free")
     dec = decouple(inst)
-    assert len(dec.frozen) == inst.n
+    assert (dec.frozen >= 0).all()
     assert dec.residual_labels.tolist() == [-1] * inst.n and dec.residual_max == 0
     assert dec == reference_decouple(inst)
 
@@ -356,7 +361,7 @@ def test_forest_never_reaches_the_solve(n, f, data):
     with mock.patch.object(structure, "solve", spy):
         dec = decouple(inst)
     assert seen == [0]
-    assert dec.frozen == {} == reference_backbone(inst)
+    assert dec.frozen.tolist() == [-1] * n and reference_backbone(inst) == {}
     assert dec.residual_labels is dec.report.labels
 
 
@@ -382,12 +387,14 @@ def test_frozen_subgraph_core():
     b2 = [(1, 3), (1, 3), (3, 1)]
     inst = build_figure_eight(a, b2)
     dec = decouple(inst)
-    assert set(dec.frozen) == {0, 1, 2, 3, 4}
+    frozen = reference_backbone(inst)
+    assert set(frozen) == {0, 1, 2, 3, 4}
+    assert np.array_equal(dec.frozen, frozen_states(inst.n, frozen))
     # forcing arcs tie both cycles together through the crux
     assert frozen_subgraph(inst, dec.frozen) == (0, 1, 2, 3, 4)
     assert dec.frozen_core == 5
-    assert reference_frozen_subgraph(inst, dec.frozen) == ((0, 1, 2, 3, 4),)
-    assert frozen_subgraph(inst, {}) == ()
+    assert reference_frozen_subgraph(inst, frozen) == ((0, 1, 2, 3, 4),)
+    assert frozen_subgraph(inst, frozen_states(inst.n, {})) == ()
     # two copies side by side: of the equal groups, the one with vertex 0
     edges = inst.graph.edges
     twin = inst_of(10, edges + tuple((u + 5, v + 5) for u, v in edges), inst.pairs.tolist() * 2, 4)
@@ -402,7 +409,7 @@ def test_decouple_checks_that_the_frozen_set_is_closed(monkeypatch):
 
     def lossy(inst, rep):
         frozen, frustrated = backbone(inst, rep)
-        del frozen[2]
+        frozen[2] = -1
         return frozen, frustrated
 
     monkeypatch.setattr(structure, "_backbone", lossy)
@@ -429,9 +436,10 @@ def test_frozen_subgraph_matches_reference(model, f, cond, seed, data):
         model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
     )
     dec = decouple(inst)
-    frozen = dec.frozen
+    frozen = reference_backbone(inst) or {}
+    assert np.array_equal(dec.frozen, frozen_states(inst.n, frozen))
     core = max(reference_frozen_subgraph(inst, frozen), key=len, default=())
-    assert frozen_subgraph(inst, frozen) == core
+    assert frozen_subgraph(inst, dec.frozen) == core
     assert dec.frozen_core == len(core)
     if frozen:
         # dropping one frozen vertex leaves the set open wherever an arc
@@ -442,9 +450,11 @@ def test_frozen_subgraph_matches_reference(model, f, cond, seed, data):
             want = reference_frozen_subgraph(inst, opened)
         except ValueError as e:
             with pytest.raises(ValueError, match=f"^{e}$"):
-                frozen_subgraph(inst, opened)
+                frozen_subgraph(inst, frozen_states(inst.n, opened))
         else:
-            assert frozen_subgraph(inst, opened) == max(want, key=len, default=())
+            assert frozen_subgraph(inst, frozen_states(inst.n, opened)) == max(
+                want, key=len, default=()
+            )
 
 
 def test_component_satisfiable_split():
