@@ -44,6 +44,9 @@ def _cmd_gen(args) -> int:
         if args.L is None or args.p is None:
             raise ValueError("lattice generation requires --L and --p")
         kwargs = dict(L=args.L, p=args.p)
+    for key in ("n", "m", "L", "p"):
+        if key not in kwargs and getattr(args, key) is not None:
+            raise ValueError(f"{args.model} generation does not read --{key}")
     inst = generate_instance(
         model=args.model, dist=dist, seed=args.seed, cond=read_cond(args.cond), **kwargs
     )

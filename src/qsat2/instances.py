@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -86,22 +86,17 @@ class FactorDistribution:
         object.__setattr__(self, "_cum", tuple(cum))
 
     @classmethod
-    def uniform(cls, f: int, factors: Optional[Sequence[BraState]] = None) -> "FactorDistribution":
-        facs = tuple(factors) if factors is not None else default_factors(f)
-        return cls(facs, tuple(Fraction(1, f) for _ in range(f)))
+    def uniform(cls, f: int) -> "FactorDistribution":
+        return cls(default_factors(f), tuple(Fraction(1, f) for _ in range(f)))
 
     @classmethod
-    def from_weights(
-        cls, weights: Sequence[Fraction], factors: Optional[Sequence[BraState]] = None
-    ) -> "FactorDistribution":
+    def from_weights(cls, weights: Sequence[Fraction]) -> "FactorDistribution":
         """Exact distribution from non-increasing relative weights."""
         qs = tuple(Fraction(w) for w in weights)
         total = sum(qs)
         if total <= 0:
             raise ValueError("weights must have a positive sum")
-        qs = tuple(w / total for w in qs)
-        facs = tuple(factors) if factors is not None else default_factors(len(qs))
-        return cls(facs, qs)
+        return cls(default_factors(len(qs)), tuple(w / total for w in qs))
 
     @property
     def f(self) -> int:

@@ -196,6 +196,8 @@ def thresholds(
 ) -> ThresholdReport:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if model == "er" and (n, p) != (None, None):
+        raise ValueError(f"the er model reads no n and no p, got n={n!r}, p={p!r}")
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if p is not None and not 0 <= p <= 1:
@@ -214,12 +216,9 @@ def thresholds(
         cond = gamma * (2.0 * float(fn.qinf)) - log_twice
     p_c = {"er": None, "lat2": 0.5, "lat3": 0.24881}[model]
     p_fin = {"er": None, "lat2": 0.5, "lat3": None}[model]
-    scale = None
-    if model != "er" and n is not None:
-        scale = float(n) ** (-1.0 / 7.0)
-    presence = None
-    if model != "er" and p is not None:
-        presence = p**7
+    # only lattices reach here with n or p
+    scale = None if n is None else float(n) ** (-1.0 / 7.0)
+    presence = None if p is None else p**7
     return ThresholdReport(
         model=model,
         gamma_disconnect=Fraction(1, 2),

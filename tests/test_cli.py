@@ -243,6 +243,23 @@ def test_gen_oversize_n_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "shape, unread",
+    [
+        (["--model", "lat2", "--L", "4", "--p", "0.5", "--n", "100000"], "--n"),
+        (["--model", "lat3", "--L", "3", "--p", "0.5", "--m", "7"], "--m"),
+        (["--model", "er", "--n", "20", "--m", "10", "--L", "7"], "--L"),
+        (["--model", "er", "--n", "20", "--m", "10", "--p", "0.5"], "--p"),
+    ],
+)
+def test_gen_refuses_a_size_its_model_does_not_read(tmp_path, capsys, shape, unread):
+    out = tmp_path / "x.q2"
+    code, stdout, err = run_cli("gen", *shape, "--f", "2", "--out", str(out), capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert f"does not read {unread}" in err
+    assert not out.exists()
+
+
 def test_pipeline_never_reads_the_edge_tuple_view(tmp_path, capsys, monkeypatch):
     # edges and factor pairs are read from the int64 edge arrays only
     def read(graph):
@@ -313,6 +330,15 @@ def test_predict_out_of_domain_exits_2(capsys, args, what):
     code, out, err = run_cli("predict", "--f", "2", "--model", "lat2", *args, capsys=capsys)
     assert code == 2 and out == ""
     assert what in err
+
+
+@pytest.mark.parametrize("args", [["--n", "100"], ["--p", "0.3"], ["--n", "100", "--p", "0.3"]])
+def test_predict_er_refuses_n_and_p(capsys, args):
+    code, out, err = run_cli(
+        "predict", "--f", "2", "--model", "er", "--gamma", "0.5", *args, capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert "er model reads no n and no p" in err
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf"])

@@ -259,7 +259,7 @@ def test_prime_clash_escalates_to_exact(monkeypatch):
     odd = bra(1, Fraction(1, MOD_PRIMES[0]))
     with pytest.raises(_PrimeClash):
         _ModField(MOD_PRIMES[0]).embed(odd.c1)
-    dist = FactorDistribution.uniform(2, factors=[bra(1, 0), odd])
+    dist = FactorDistribution((bra(1, 0), odd), (Fraction(1, 2), Fraction(1, 2)))
     inst = Instance(Graph(3, ((0, 1), (0, 2), (1, 2))), ((1, 0), (1, 1), (0, 1)), dist, "any", 0, 0)
     comp = (0, 1, 2)
     exact = counting._exact_rank(inst, comp)

@@ -21,7 +21,7 @@ from qsat2.stats import (
     xi,
 )
 
-from oracles import qcrux_bruteforce, xi_series
+from oracles import chain_survival_bruteforce, qcrux_bruteforce, xi_series
 
 
 @st.composite
@@ -48,6 +48,18 @@ def test_uniform_functionals():
     assert fn3.qcrux == Fraction(2, 9)
     fn1 = functionals(FactorDistribution.uniform(1))
     assert fn1.q2 == 0 and fn1.qinf == 0 and fn1.qcrux == 0
+
+
+@pytest.mark.parametrize(
+    "weights", [[1], [1, 1], [2, 1], [1, 1, 1], [3, 2, 1], [1, 1, 1, 1], [4, 3, 2, 1]]
+)
+def test_chain_survival_matches_brute_force(weights):
+    # criterion 2's closed form: each of the ell - 1 junctions of a path of
+    # ell edges survives independently with probability Q2
+    dist = FactorDistribution.from_weights([Fraction(w) for w in weights])
+    q2 = functionals(dist).q2
+    for ell in range(1, 5):
+        assert chain_survival_bruteforce(dist.q, ell) == q2 ** (ell - 1), ell
 
 
 @given(distributions())
@@ -262,6 +274,13 @@ def test_thresholds_lattice():
 def test_thresholds_reject_values_outside_their_domain(kwargs):
     with pytest.raises(ValueError):
         thresholds(FactorDistribution.uniform(2), model="lat2", **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n=4000), dict(p=0.3), dict(n=4000, p=0.3)])
+def test_thresholds_er_refuses_n_and_p(kwargs):
+    # the er thresholds read neither a lattice size nor a bond probability
+    with pytest.raises(ValueError, match="er model reads no n and no p"):
+        thresholds(FactorDistribution.uniform(2), model="er", gamma=1.4, **kwargs)
 
 
 def test_threshold_scaling_markers():
