@@ -196,7 +196,7 @@ def thresholds(
 ) -> ThresholdReport:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if model == "er" and (n, p) != (None, None):
+    if model == "er" and (n is not None or p is not None):
         raise ValueError(f"the er model reads no n and no p, got n={n!r}, p={p!r}")
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
