@@ -114,7 +114,8 @@ def _cmd_predict(args) -> int:
 
     def line(name: str, val) -> None:
         if val is None:
-            print(f"{name} = unbounded" if name == "gamma_frustrate" else f"{name} = n/a")
+            unbounded = name == "gamma_frustrate" and rep.model == "er"
+            print(f"{name} = unbounded" if unbounded else f"{name} = n/a")
         elif isinstance(val, Fraction):
             print(f"{name} = {val} = {float(val)!r}")
         else:

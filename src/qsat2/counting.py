@@ -1,18 +1,27 @@
 """Exact ground-space dimensions for product-constraint instances.
 
 The value of an instance is the dimension of the simultaneous kernel of all
-constraint projectors.  Per connected component this is 2^k - rank(M), where
-M stacks, for every edge, the constraint bra tensored with standard-basis
-bras on the component's other k-2 qubits; every such row has at most four
-nonzero entries.  Rows are built per edge: the edge's coefficients are
-embedded in each field once, and its rows step the spectator bits through
-the submasks of one mask.  Rank is computed by sparse elimination modulo
-two large primes p = 1 (mod 4), where the imaginary unit embeds as a square
-root of -1.  Modular rank can only undercount (a minor may vanish mod p), so
-the two primes must agree; a disagreement, or a coefficient whose
-denominator vanishes mod a prime, escalates to exact arithmetic over the
-Gaussian rationals.  The one setting is the qubit cap: a component over
-`max_component_qubits` raises ComponentCapError instead of being counted.
+constraint projectors, the product of its connected components' values.
+A component is counted first by pinning and splitting.  A pin holds a qubit
+in the kernel state of one factor and propagates like the 2-SAT closure;
+a qubit whose edges carry at most two factors on its side splits the count
+into two pinned branches.  Trees, and every component at f = 2, always
+split.  A component with a part in which every qubit meets three or more
+factors, or one that needs more than _SPLIT_BUDGET splits, goes whole to
+the rank.
+
+The rank's value is 2^k - rank(M), where M stacks, for every edge, the
+constraint bra tensored with standard-basis bras on the component's other
+k-2 qubits; every such row has at most four nonzero entries.  Rows are built
+per edge: the edge's coefficients are embedded in each field once, and its
+rows step the spectator bits through the submasks of one mask.  Rank is
+computed by sparse elimination modulo two large primes p = 1 (mod 4), where
+the imaginary unit embeds as a square root of -1.  Modular rank can only
+undercount (a minor may vanish mod p), so the two primes must agree; a
+disagreement, or a coefficient whose denominator vanishes mod a prime,
+escalates to exact arithmetic over the Gaussian rationals.  The one setting
+is the qubit cap: a component over `max_component_qubits` raises
+ComponentCapError before either counter runs.
 """
 
 from __future__ import annotations
@@ -126,6 +135,18 @@ class _ExactField:
 # rows and rank
 
 
+def _check_boundary(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]]
+) -> None:
+    """Refuse an edge that leaves the component, unless its far end is frozen
+    in the kernel state of the edge's far factor."""
+    inside = set(component)
+    for u in sorted(component):
+        for v, _, j in inst.incident[u]:
+            if v not in inside and (frozen is None or frozen[v] != j):
+                raise ValueError(f"edge ({min(u, v)},{max(u, v)}) crosses the component boundary")
+
+
 def _constraint_blocks(
     inst: Instance,
     component: Sequence[int],
@@ -143,6 +164,7 @@ def _constraint_blocks(
     state and imposes nothing here, so the edge is skipped.  Only the
     component's incident edges are read, in `edge_array` order.
     """
+    _check_boundary(inst, component, frozen)
     comp = sorted(component)
     local = {v: i for i, v in enumerate(comp)}
     full = (1 << len(comp)) - 1
@@ -150,11 +172,7 @@ def _constraint_blocks(
     for pu, u in enumerate(comp):
         for v, h, j in inst.incident[u]:
             pv = local.get(v)
-            if pv is None:
-                if frozen is not None and frozen[v] == j:
-                    continue
-                raise ValueError(f"edge ({min(u, v)},{max(u, v)}) crosses the component boundary")
-            if v < u:
+            if pv is None or v < u:
                 continue
             bu, bv = factors[h], factors[j]
             entries = []
@@ -203,6 +221,137 @@ def _exact_rank(inst, component, frozen=None) -> int:
     return _echelon_rank(_constraint_blocks(inst, component, frozen), _ExactField())
 
 
+# ---------------------------------------------------------------------------
+# pins and splits
+
+# splits per component before the split counter hands it to the rank.  A
+# split leaves branches of at most k - 1 and k - 2 live qubits, so a k-qubit
+# component takes at most Fibonacci(k + 1) - 1 splits: 1,596 at the default
+# cap of 16.
+_SPLIT_BUDGET = 4096
+
+
+class _Unsplittable(Exception):
+    """No live vertex has at most two own-side factors, or the budget ran out."""
+
+
+def _pin(
+    incident: Sequence[Sequence[tuple[int, int, int]]],
+    live: set[int],
+    starts: Iterable[tuple[int, int]],
+) -> Optional[dict[int, int]]:
+    """States forced inside `live` by the pins `starts`, as a vertex -> factor map.
+
+    A pin (w, s) holds w in the kernel state of factor s.  Every live w-edge
+    whose w-side factor is not s then pins its far end to its far factor,
+    the transition of `TwoSatEngine._closure`; every other w-edge is
+    satisfied.  None when some vertex is pinned two ways: the value is 0.
+    """
+    pinned: dict[int, int] = {}
+    queue: list[tuple[int, int]] = []
+    for w, s in starts:
+        seen = pinned.get(w)
+        if seen is None:
+            pinned[w] = s
+            queue.append((w, s))
+        elif seen != s:
+            return None
+    for w, s in queue:  # the loop reaches the pins it appends
+        for x, hw, jx in incident[w]:
+            if hw == s or x not in live:
+                continue
+            seen = pinned.get(x)
+            if seen is None:
+                pinned[x] = jx
+                queue.append((x, jx))
+            elif seen != jx:
+                return None
+    return pinned
+
+
+def _split_value(incident: Sequence[Sequence[tuple[int, int, int]]], component: Sequence[int]) -> int:
+    """Ground-space dimension of one component by pinning and splitting.
+
+    A split at a vertex a writes a's qubit in a basis the constraints at a
+    respect.  When all of a's edges carry one factor h on a's side, a is
+    either in h's kernel state, which satisfies them all, or in a state with
+    overlap 1 with h, which pins every neighbour to its far factor.  With two
+    factors h1 and h2, a is in the kernel state of one of them, and each
+    state pins the far ends of the other factor's edges; the two kernel
+    states are a basis because factors are pairwise non-proportional.  Either
+    way the value is the sum of the two branches.  Once a branch's pins are
+    propagated, every pinned vertex adds a factor of 1 and its edges impose
+    nothing more, so the branch is worth the product over the connected
+    parts of the live vertices left.  Raises _Unsplittable when some part
+    has no vertex with at most two own-side factors, or after _SPLIT_BUDGET
+    splits.
+    """
+    return _Splits(incident).value(set(component))
+
+
+class _Splits:
+    """One component's split recursion and its remaining split budget.
+
+    A class rather than two nested closures: closures that call each other
+    form a reference cycle, which would keep the instance's incident index
+    alive until the garbage collector's next full pass.
+    """
+
+    __slots__ = ("incident", "budget")
+
+    def __init__(self, incident: Sequence[Sequence[tuple[int, int, int]]]):
+        self.incident = incident
+        self.budget = _SPLIT_BUDGET
+
+    def value(self, live: set[int]) -> int:
+        """The product over the connected parts of `live`, which it empties."""
+        incident = self.incident
+        total = 1
+        while live and total:
+            v = live.pop()
+            part, stack = {v}, [v]
+            while stack:
+                for x, _, _ in incident[stack.pop()]:
+                    if x in live:
+                        live.remove(x)
+                        part.add(x)
+                        stack.append(x)
+            total *= self.connected(part)
+        return total
+
+    def connected(self, part: set[int]) -> int:
+        if len(part) == 1:
+            return 2
+        if not self.budget:
+            raise _Unsplittable
+        self.budget -= 1
+        incident = self.incident
+        # the vertex with the fewest live edges, a leaf when there is one
+        edges = None
+        for v in part:
+            own = [(x, hv, jx) for x, hv, jx in incident[v] if x in part]
+            if edges is None or len(own) < len(edges):
+                hs = {hv for _, hv, _ in own}
+                if len(hs) <= 2:
+                    a, edges, sides = v, own, hs
+                    if len(own) == 1:
+                        break
+        if edges is None:
+            raise _Unsplittable
+        # a in the kernel state of each of its factors; with one factor h,
+        # also in the state of overlap 1 with h, which every edge constrains
+        branches = [[(x, jx) for x, hv, jx in edges if hv != h] for h in sides]
+        if len(sides) == 1:
+            branches.append([(x, jx) for x, _, jx in edges])
+        rest = part - {a}
+        total = 0
+        for starts in branches:
+            pinned = _pin(incident, rest, starts)
+            if pinned is not None:
+                total += self.value(rest - pinned.keys())
+        return total
+
+
 def component_value(
     inst: Instance,
     component: Sequence[int],
@@ -211,13 +360,19 @@ def component_value(
 ) -> int:
     """Ground-space dimension 2^k - rank restricted to one component.
 
-    Components over `max_component_qubits` raise ComponentCapError.
+    Components over `max_component_qubits` raise ComponentCapError.  The
+    split counter counts the rest; a component it cannot split goes whole
+    to the verified rank.
     """
     check_component_cap(max_component_qubits)
     k = len(component)
     if k > max_component_qubits:
         raise ComponentCapError(k, max_component_qubits, component)
-    return (1 << k) - _verified_rank(inst, component, frozen)
+    _check_boundary(inst, component, frozen)
+    try:
+        return _split_value(inst.incident, component)
+    except _Unsplittable:
+        return (1 << k) - _verified_rank(inst, component, frozen)
 
 
 def product_tree(values: Sequence[int]) -> int:

@@ -178,9 +178,9 @@ def expected_dominoes(L: int, d: int, p: float) -> float:
 @dataclass(frozen=True)
 class ThresholdReport:
     model: str
-    gamma_disconnect: Fraction
-    gamma_frustrate: Optional[Fraction]  # None = unbounded (q2 = 0)
-    decouple_condition: Optional[float]  # 2*gamma*qinf - ln(2*gamma), needs gamma
+    gamma_disconnect: Optional[Fraction]  # er only
+    gamma_frustrate: Optional[Fraction]  # er only; None on er = unbounded (q2 = 0)
+    decouple_condition: Optional[float]  # 2*gamma*qinf - ln(2*gamma), er only, needs gamma
     p_c: Optional[float]
     p_fin: Optional[float]
     domino_scale: Optional[float]  # n^(-1/7) marker, needs n
@@ -198,12 +198,17 @@ def thresholds(
         raise ValueError(f"unknown model {model!r}")
     if model == "er" and (n is not None or p is not None):
         raise ValueError(f"the er model reads no n and no p, got n={n!r}, p={p!r}")
+    if model != "er" and gamma is not None:
+        raise ValueError(f"the {model} model reads no gamma, got gamma={gamma!r}")
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if p is not None and not 0 <= p <= 1:
         raise ValueError(f"p must be a probability in [0, 1], got {p!r}")
     fn = functionals(dist)
-    frustrate = None if fn.q2 == 0 else 1 / (2 * fn.q2)
+    # the density thresholds are ER constants; only er reaches here with gamma
+    er = model == "er"
+    disconnect = Fraction(1, 2) if er else None
+    frustrate = 1 / (2 * fn.q2) if er and fn.q2 else None
     cond = None
     if gamma is not None:
         if not 0 < gamma < math.inf:
@@ -221,7 +226,7 @@ def thresholds(
     presence = None if p is None else p**7
     return ThresholdReport(
         model=model,
-        gamma_disconnect=Fraction(1, 2),
+        gamma_disconnect=disconnect,
         gamma_frustrate=frustrate,
         decouple_condition=cond,
         p_c=p_c,

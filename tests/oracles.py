@@ -27,7 +27,7 @@ from qsat2.counting import (
     _ExactField,
     _ModField,
     _PrimeClash,
-    component_value,
+    _verified_rank,
     product_tree,
 )
 from qsat2.exactq import GQ_ONE, BraState, GaussianRational
@@ -260,11 +260,15 @@ def reference_kernel_basis(
 
 def raw_instance_value(inst: Instance) -> int:
     """Ground-space dimension over the raw connected components, nothing
-    frozen removed first; 0 iff frustrated."""
+    frozen removed first; 0 iff frustrated.
+
+    Each component is counted as 2^k - rank by the verified rank, not by
+    `component_value`, so the split counter is checked against the code it
+    replaced."""
     if not satisfiable(inst):
         return 0
     comps = reference_label_groups(components(inst.graph).labels)
-    return product_tree([component_value(inst, comp) for comp in comps])
+    return product_tree([(1 << len(comp)) - _verified_rank(inst, comp) for comp in comps])
 
 
 def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:

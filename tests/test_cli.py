@@ -319,17 +319,34 @@ def test_bad_f_exits_2_and_names_the_option(capsys, cmd, args, msg):
 @pytest.mark.parametrize(
     "args, what",
     [
-        (["--n", "0"], "n must"),
-        (["--n", "-8"], "n must"),
-        (["--p", "2"], "p must"),
-        (["--p", "-1"], "p must"),
-        (["--gamma", "nan"], "gamma must"),
+        (["--model", "lat2", "--n", "0"], "n must"),
+        (["--model", "lat2", "--n", "-8"], "n must"),
+        (["--model", "lat2", "--p", "2"], "p must"),
+        (["--model", "lat2", "--p", "-1"], "p must"),
+        (["--model", "er", "--gamma", "nan"], "gamma must"),
     ],
 )
 def test_predict_out_of_domain_exits_2(capsys, args, what):
-    code, out, err = run_cli("predict", "--f", "2", "--model", "lat2", *args, capsys=capsys)
+    code, out, err = run_cli("predict", "--f", "2", *args, capsys=capsys)
     assert code == 2 and out == ""
     assert what in err
+
+
+@pytest.mark.parametrize("model", ["lat2", "lat3"])
+def test_predict_lattice_refuses_gamma(capsys, model):
+    code, out, err = run_cli("predict", "--f", "4", "--model", model, "--gamma", "2.5", capsys=capsys)
+    assert code == 2 and out == ""
+    assert f"{model} model reads no gamma" in err
+
+
+def test_predict_prints_no_er_density_thresholds_for_a_lattice(capsys):
+    code, out, _ = run_cli("predict", "--f", "4", "--model", "lat2", "--p", "0.3", capsys=capsys)
+    assert code == 0
+    for name in ("gamma_disconnect", "gamma_frustrate", "decouple_condition"):
+        assert f"\n{name} = n/a\n" in out
+    # on er a missing frustration threshold is unbounded: Q2 = 0 at f = 1
+    code, out, _ = run_cli("predict", "--f", "1", capsys=capsys)
+    assert code == 0 and "\ngamma_frustrate = unbounded\n" in out
 
 
 @pytest.mark.parametrize("args", [["--n", "100"], ["--p", "0.3"], ["--n", "100", "--p", "0.3"]])

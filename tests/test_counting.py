@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from qsat2.graphs import Graph, components, label_groups, sample_er_graph
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
 from qsat2.structure import decouple
 from qsat2.sweep import generate_instance
+from qsat2.twosat import TwoSatEngine
 
 from oracles import (
     block_rows,
@@ -242,15 +245,16 @@ def test_two_qubit_component_is_one_row():
     assert _ordered(kernel_basis(inst, (0, 1))) == _ordered(reference_kernel_basis(inst, (0, 1)))
 
 
-def _spy_exact_rank(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call to counting.<name>."""
     calls = []
-    real = counting._exact_rank
+    real = getattr(counting, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "_exact_rank", spy)
+    monkeypatch.setattr(counting, name, spy)
     return calls
 
 
@@ -263,7 +267,7 @@ def test_prime_clash_escalates_to_exact(monkeypatch):
     inst = Instance(Graph(3, ((0, 1), (0, 2), (1, 2))), ((1, 0), (1, 1), (0, 1)), dist, "any", 0, 0)
     comp = (0, 1, 2)
     exact = counting._exact_rank(inst, comp)
-    calls = _spy_exact_rank(monkeypatch)
+    calls = _spy(monkeypatch, "_exact_rank")
     assert _verified_rank(inst, comp) == exact
     assert len(calls) == 1
     assert exact == 2**3 - dense_component_value(inst, comp)
@@ -282,7 +286,7 @@ def test_prime_disagreement_escalates_to_exact(monkeypatch):
         return rank - 1 if getattr(field, "p", None) == MOD_PRIMES[1] else rank
 
     monkeypatch.setattr(counting, "_echelon_rank", skewed)
-    calls = _spy_exact_rank(monkeypatch)
+    calls = _spy(monkeypatch, "_exact_rank")
     assert _verified_rank(inst, comp) == true_rank
     assert len(calls) == 1
 
@@ -293,6 +297,153 @@ def test_mod_field_inverse():
         field = _ModField(p)
         for a in [1, p - 1, field.root] + [rng.randrange(1, p) for _ in range(5)]:
             assert field.inv(a) * a % p == 1
+
+
+# --- the split counter against the rank it replaced ------------------------
+
+# exact ranks on frustrated components pay 2^k full rows, so the comparison
+# stops here
+_SPLIT_ORACLE_MAX_K = 12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            ("er", dict(n=30, m=24)),
+            ("er", dict(n=8, m=11)),  # dense: cyclic and frustrated components
+            ("lat2", dict(L=4, p=0.55)),
+            ("lat3", dict(L=2, p=0.7)),
+        ]
+    ),
+    st.integers(2, 6),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 10**6),
+)
+def test_split_counter_matches_the_rank(family, f, cond, seed):
+    model, kw = family
+    inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
+    dec = decouple(inst)
+    comps = [(c, None) for c in label_groups(dec.report.labels)]
+    if (dec.frozen >= 0).any():
+        comps += [(c, dec.frozen) for c in label_groups(dec.residual_labels)]
+    for comp, frozen in comps:
+        if len(comp) <= _SPLIT_ORACLE_MAX_K:
+            full = 1 << len(comp)
+            value = component_value(inst, comp, frozen=frozen)
+            assert value == full - _verified_rank(inst, comp, frozen)
+            assert value == full - _exact_rank(inst, comp, frozen)
+
+
+def _k5_tournament():
+    # edge i -> i+1 carries (1, 0) and edge i -> i+2 carries (2, 0), so every
+    # vertex meets factors 0, 1 and 2 on its own side
+    edges = {}
+    for i in range(5):
+        for step, h in ((1, 1), (2, 2)):
+            u, v = i, (i + step) % 5
+            edges[min(u, v), max(u, v)] = (h, 0) if u < v else (0, h)
+    order = sorted(edges)
+    return inst_of(5, order, [edges[e] for e in order], 3)
+
+
+def test_stuck_component_goes_whole_to_the_rank(monkeypatch):
+    inst = _k5_tournament()
+    comp = tuple(range(5))
+    assert all({h for _, h, _ in inst.incident[v]} == {0, 1, 2} for v in comp)
+    with pytest.raises(counting._Unsplittable):
+        counting._split_value(inst.incident, comp)
+    calls = _spy(monkeypatch, "_verified_rank")
+    assert component_value(inst, comp) == 1
+    assert calls == [(inst, comp, None)]
+    assert dense_component_value(inst, comp) == 1
+
+
+def test_trees_never_reach_the_rank(monkeypatch):
+    # the f = 2, gamma = 0.3 ER instances of the count_rank benchmark, small:
+    # every vertex meets at most two factors, so every component splits
+    comps = []
+    for seed in range(4):
+        inst = generate_instance("er", FactorDistribution.uniform(2), seed, n=300, m=90)
+        dec = decouple(inst)
+        comps += [(inst, c, dec.frozen) for c in label_groups(dec.residual_labels)]
+    assert max(len(c) for _, c, _ in comps) >= 8
+    want = [(1 << len(c)) - _verified_rank(inst, c, frozen) for inst, c, frozen in comps]
+    calls = _spy(monkeypatch, "_verified_rank")
+    assert [component_value(inst, c, frozen=frozen) for inst, c, frozen in comps] == want
+    assert calls == []
+
+
+def test_split_counter_leaves_no_cyclic_garbage():
+    # a reference cycle per count would hold each instance's incident index
+    # until the collector's next full pass, so memory would grow with the
+    # number of instances counted
+    inst = generate_instance("er", FactorDistribution.uniform(2), 0, n=300, m=90)
+    dec = decouple(inst)
+    comps = label_groups(dec.residual_labels)
+    gc.collect()
+    gc.disable()
+    try:
+        values = [component_value(inst, c, frozen=dec.frozen) for c in comps]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert max(values) > 2
+
+
+def test_component_over_the_cap_raises_before_any_split(monkeypatch):
+    g = sample_er_graph(20, 30, seed=1)
+    inst = sample_instance(g, FactorDistribution.uniform(2), seed=1)
+    comp = max(label_groups(components(g).labels), key=len)
+    splits = _spy(monkeypatch, "_split_value")
+    ranks = _spy(monkeypatch, "_verified_rank")
+    with pytest.raises(ComponentCapError):
+        component_value(inst, comp, 4)
+    assert splits == [] and ranks == []
+
+
+def test_component_value_rejects_an_unfrozen_crossing(monkeypatch):
+    # path 0 - 1 - 2; edge (1, 2) carries factor 1 on vertex 2's side
+    inst = inst_of(3, [(0, 1), (1, 2)], [(0, 1), (0, 1)], 2)
+    splits = _spy(monkeypatch, "_split_value")
+    ranks = _spy(monkeypatch, "_verified_rank")
+    for frozen in (None, np.array([-1, -1, 0])):
+        with pytest.raises(ValueError, match=r"edge \(1,2\) crosses the component boundary"):
+            component_value(inst, (0, 1), frozen=frozen)
+    assert splits == [] and ranks == []
+    # frozen in the edge's own far factor, vertex 2 satisfies it
+    assert component_value(inst, (0, 1), frozen=np.array([-1, -1, 1])) == 3
+
+
+# --- pin propagation against the engine's closure ---------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 5),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_pins_propagate_like_the_engine_closure(model, f, cond, seed, data):
+    inst = _random_instance(model, f, cond, seed)
+    # the live vertices: everything, or a random subset, where the engine
+    # reads the index with every edge to a dead vertex dropped
+    rng = random.Random(seed)
+    live = set(range(inst.n))
+    if data.draw(st.booleans()):
+        live = {v for v in live if rng.random() < 0.7}
+    assume(live)
+    index = [
+        [e for e in inst.incident[v] if e[0] in live] if v in live else []
+        for v in range(inst.n)
+    ]
+    starts = data.draw(
+        st.lists(st.tuples(st.sampled_from(sorted(live)), st.integers(0, f - 1)), max_size=4)
+    )
+    got = counting._pin(inst.incident, live, starts)
+    assert got == TwoSatEngine(inst.n, index)._closure(starts)
 
 
 # --- kernel bases ----------------------------------------------------------

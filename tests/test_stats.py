@@ -266,14 +266,14 @@ def test_thresholds_lattice():
         dict(p=2.0),
         dict(p=-1.0),
         dict(p=math.nan),
-        dict(gamma=math.nan),
-        dict(gamma=math.inf),
-        dict(gamma=0.0),
+        dict(model="er", gamma=math.nan),
+        dict(model="er", gamma=math.inf),
+        dict(model="er", gamma=0.0),
     ],
 )
 def test_thresholds_reject_values_outside_their_domain(kwargs):
-    with pytest.raises(ValueError):
-        thresholds(FactorDistribution.uniform(2), model="lat2", **kwargs)
+    with pytest.raises(ValueError, match="must be"):
+        thresholds(FactorDistribution.uniform(2), **{"model": "lat2", **kwargs})
 
 
 @pytest.mark.parametrize("kwargs", [dict(n=4000), dict(p=0.3), dict(n=4000, p=0.3)])
@@ -281,6 +281,21 @@ def test_thresholds_er_refuses_n_and_p(kwargs):
     # the er thresholds read neither a lattice size nor a bond probability
     with pytest.raises(ValueError, match="er model reads no n and no p"):
         thresholds(FactorDistribution.uniform(2), model="er", gamma=1.4, **kwargs)
+
+
+@pytest.mark.parametrize("model", ["lat2", "lat3"])
+def test_thresholds_lattice_refuses_gamma(model):
+    # gamma is an ER edge density; a lattice reads L and p
+    with pytest.raises(ValueError, match=f"{model} model reads no gamma"):
+        thresholds(FactorDistribution.uniform(4), model=model, gamma=2.5)
+
+
+@pytest.mark.parametrize("model", ["lat2", "lat3"])
+def test_thresholds_lattice_has_no_er_density_thresholds(model):
+    rep = thresholds(FactorDistribution.uniform(4), model=model, p=0.3)
+    assert rep.gamma_disconnect is None
+    assert rep.gamma_frustrate is None
+    assert rep.decouple_condition is None
 
 
 def test_threshold_scaling_markers():
