@@ -7,8 +7,7 @@ in the kernel state of one factor and propagates like the 2-SAT closure;
 a qubit whose edges carry at most two factors on its side splits the count
 into two pinned branches.  Trees, and every component at f = 2, always
 split.  A component with a part in which every qubit meets three or more
-factors, or one that needs more than _SPLIT_BUDGET splits, goes whole to
-the rank.
+factors goes whole to the rank.
 
 The rank's value is 2^k - rank(M), where M stacks, for every edge, the
 constraint bra tensored with standard-basis bras on the component's other
@@ -224,15 +223,8 @@ def _exact_rank(inst, component, frozen=None) -> int:
 # ---------------------------------------------------------------------------
 # pins and splits
 
-# splits per component before the split counter hands it to the rank.  A
-# split leaves branches of at most k - 1 and k - 2 live qubits, so a k-qubit
-# component takes at most Fibonacci(k + 1) - 1 splits: 1,596 at the default
-# cap of 16.
-_SPLIT_BUDGET = 4096
-
-
 class _Unsplittable(Exception):
-    """No live vertex has at most two own-side factors, or the budget ran out."""
+    """Some part has no live vertex with at most two own-side factors."""
 
 
 def _pin(
@@ -283,73 +275,78 @@ def _split_value(incident: Sequence[Sequence[tuple[int, int, int]]], component: 
     propagated, every pinned vertex adds a factor of 1 and its edges impose
     nothing more, so the branch is worth the product over the connected
     parts of the live vertices left.  Raises _Unsplittable when some part
-    has no vertex with at most two own-side factors, or after _SPLIT_BUDGET
-    splits.
+    has no vertex with at most two own-side factors.
+
+    `_parts` and `_split` yield each subproblem they need and receive its
+    value; this loop runs them on an explicit stack, so the depth of the
+    recursion, up to one level per qubit, costs no interpreter frames.
     """
-    return _Splits(incident).value(set(component))
+    stack = [_parts(incident, set(component))]
+    value = None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
 
 
-class _Splits:
-    """One component's split recursion and its remaining split budget.
-
-    A class rather than two nested closures: closures that call each other
-    form a reference cycle, which would keep the instance's incident index
-    alive until the garbage collector's next full pass.
-    """
-
-    __slots__ = ("incident", "budget")
-
-    def __init__(self, incident: Sequence[Sequence[tuple[int, int, int]]]):
-        self.incident = incident
-        self.budget = _SPLIT_BUDGET
-
-    def value(self, live: set[int]) -> int:
-        """The product over the connected parts of `live`, which it empties."""
-        incident = self.incident
-        total = 1
-        while live and total:
-            v = live.pop()
-            part, stack = {v}, [v]
-            while stack:
-                for x, _, _ in incident[stack.pop()]:
-                    if x in live:
-                        live.remove(x)
-                        part.add(x)
-                        stack.append(x)
-            total *= self.connected(part)
-        return total
-
-    def connected(self, part: set[int]) -> int:
+def _parts(incident, live: set[int]):
+    """The product over the connected parts of `live`, which it empties."""
+    parts = []
+    while live:
+        v = live.pop()
+        part, stack = {v}, [v]
+        while stack:
+            for x, _, _ in incident[stack.pop()]:
+                if x in live:
+                    live.remove(x)
+                    part.add(x)
+                    stack.append(x)
+        parts.append(part)
+    # an emptied set keeps its table until cleared, and a deep recursion
+    # would hold one per level
+    live.clear()
+    total = 1
+    for part in parts:
         if len(part) == 1:
-            return 2
-        if not self.budget:
-            raise _Unsplittable
-        self.budget -= 1
-        incident = self.incident
-        # the vertex with the fewest live edges, a leaf when there is one
-        edges = None
-        for v in part:
-            own = [(x, hv, jx) for x, hv, jx in incident[v] if x in part]
-            if edges is None or len(own) < len(edges):
-                hs = {hv for _, hv, _ in own}
-                if len(hs) <= 2:
-                    a, edges, sides = v, own, hs
-                    if len(own) == 1:
-                        break
-        if edges is None:
-            raise _Unsplittable
-        # a in the kernel state of each of its factors; with one factor h,
-        # also in the state of overlap 1 with h, which every edge constrains
-        branches = [[(x, jx) for x, hv, jx in edges if hv != h] for h in sides]
-        if len(sides) == 1:
-            branches.append([(x, jx) for x, _, jx in edges])
-        rest = part - {a}
-        total = 0
-        for starts in branches:
-            pinned = _pin(incident, rest, starts)
-            if pinned is not None:
-                total += self.value(rest - pinned.keys())
-        return total
+            total *= 2
+        elif total:
+            total *= yield _split(incident, part)
+    return total
+
+
+def _split(incident, part: set[int]):
+    """The value of a connected part of two or more vertices, which it takes
+    over: the sum of the two branches at one split vertex."""
+    # the vertex with the fewest live edges, a leaf when there is one
+    edges = None
+    for v in part:
+        own = [(x, hv, jx) for x, hv, jx in incident[v] if x in part]
+        if edges is None or len(own) < len(edges):
+            hs = {hv for _, hv, _ in own}
+            if len(hs) <= 2:
+                a, edges, sides = v, own, hs
+                if len(own) == 1:
+                    break
+    if edges is None:
+        raise _Unsplittable
+    # a in the kernel state of each of its factors; with one factor h,
+    # also in the state of overlap 1 with h, which every edge constrains
+    branches = [[(x, jx) for x, hv, jx in edges if hv != h] for h in sides]
+    if len(sides) == 1:
+        branches.append([(x, jx) for x, _, jx in edges])
+    part.remove(a)
+    total = 0
+    for starts in branches:
+        pinned = _pin(incident, part, starts)
+        if pinned is not None:
+            total += yield _parts(incident, part - pinned.keys())
+    return total
 
 
 def component_value(

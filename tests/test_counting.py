@@ -374,6 +374,19 @@ def test_trees_never_reach_the_rank(monkeypatch):
     assert calls == []
 
 
+def _path(k):
+    # every edge carries (0, 1): the value of a k-qubit path is k + 1
+    return inst_of(k, [(i, i + 1) for i in range(k - 1)], [(0, 1)] * (k - 1), 2)
+
+
+def test_long_path_counts_past_the_interpreter_recursion_limit():
+    # one split per qubit down the path: a recursion two frames deep per
+    # qubit would overrun the default limit of 1,000 frames at 600 qubits
+    assert component_value(_path(8), range(8)) == 9 == 256 - _verified_rank(_path(8), range(8))
+    k = 600
+    assert component_value(_path(k), range(k), max_component_qubits=k) == k + 1
+
+
 def test_split_counter_leaves_no_cyclic_garbage():
     # a reference cycle per count would hold each instance's incident index
     # until the collector's next full pass, so memory would grow with the
