@@ -3,10 +3,10 @@
 The value of an instance is the dimension of the simultaneous kernel of all
 constraint projectors, the product of its connected components' values.
 A component is counted first by pinning and splitting.  A pin holds a qubit
-in the kernel state of one factor and propagates like the 2-SAT closure;
-a qubit whose edges carry at most two factors on its side splits the count
-into two pinned branches.  Trees, and every component at f = 2, always
-split.  A component with a part in which every qubit meets three or more
+in the kernel state of one factor and propagates by the 2-SAT engine's
+closure; a qubit whose edges carry at most two factors on its side splits
+the count into two pinned branches.  Trees, and every component at f = 2,
+always split.  A component with a part in which every qubit meets three or more
 factors goes whole to the rank.
 
 The rank's value is 2^k - rank(M), where M stacks, for every edge, the
@@ -33,6 +33,7 @@ from .exactq import GaussianRational
 from .graphs import label_groups
 from .instances import Instance
 from .structure import Decomposition, decouple
+from .twosat import TwoSatEngine
 
 # 62-bit primes with p = 1 (mod 4); each verifies the other, and exact
 # arithmetic settles any disagreement.
@@ -40,7 +41,7 @@ MOD_PRIMES = (2305843009213693973, 2305843009213694009)
 
 
 def check_component_cap(max_component_qubits: int) -> None:
-    """Reject a component cap below one qubit: no rank would ever run."""
+    """Reject a component cap below one qubit: no counter would ever run."""
     if max_component_qubits < 1:
         raise ValueError("component cap must be positive")
 
@@ -134,16 +135,30 @@ class _ExactField:
 # rows and rank
 
 
-def _check_boundary(
+def _own_index(
     inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]]
-) -> None:
-    """Refuse an edge that leaves the component, unless its far end is frozen
-    in the kernel state of the edge's far factor."""
-    inside = set(component)
-    for u in sorted(component):
-        for v, _, j in inst.incident[u]:
-            if v not in inside and (frozen is None or frozen[v] != j):
+) -> list[list[tuple[int, int, int]]]:
+    """The component's edges over local qubits 0..k-1, its vertices in sorted
+    order: (local far end, own factor, far factor), in `Instance.incident` order.
+
+    An edge may leave the component only toward a vertex frozen in the
+    kernel state of the edge's far factor; such a constraint annihilates
+    the frozen state and imposes nothing here, so the edge is dropped.  Any
+    other crossing edge raises ValueError.
+    """
+    comp = sorted(component)
+    local = {v: i for i, v in enumerate(comp)}
+    index = []
+    for u in comp:
+        own = []
+        for v, h, j in inst.incident[u]:
+            pv = local.get(v)
+            if pv is not None:
+                own.append((pv, h, j))
+            elif frozen is None or frozen[v] != j:
                 raise ValueError(f"edge ({min(u, v)},{max(u, v)}) crosses the component boundary")
+        index.append(own)
+    return index
 
 
 def _constraint_blocks(
@@ -157,21 +172,14 @@ def _constraint_blocks(
     local qubit i at bit i.  An edge's block is its nonzero entries
     (offset, bra_u[x_u] * bra_v[x_v]) and the mask of the other k-2 qubits;
     it stands for the rows `rest | offset`, `rest` each submask in turn.
-
-    An edge may leave the component only toward a vertex frozen in the kernel
-    state of that edge's own factor; such a constraint annihilates the frozen
-    state and imposes nothing here, so the edge is skipped.  Only the
-    component's incident edges are read, in `edge_array` order.
+    The edges are those of `_own_index`, in `edge_array` order.
     """
-    _check_boundary(inst, component, frozen)
-    comp = sorted(component)
-    local = {v: i for i, v in enumerate(comp)}
-    full = (1 << len(comp)) - 1
+    index = _own_index(inst, component, frozen)
+    full = (1 << len(index)) - 1
     factors = inst.dist.factors
-    for pu, u in enumerate(comp):
-        for v, h, j in inst.incident[u]:
-            pv = local.get(v)
-            if pv is None or v < u:
+    for pu, own in enumerate(index):
+        for pv, h, j in own:
+            if pv < pu:
                 continue
             bu, bv = factors[h], factors[j]
             entries = []
@@ -227,42 +235,9 @@ class _Unsplittable(Exception):
     """Some part has no live vertex with at most two own-side factors."""
 
 
-def _pin(
-    incident: Sequence[Sequence[tuple[int, int, int]]],
-    live: set[int],
-    starts: Iterable[tuple[int, int]],
-) -> Optional[dict[int, int]]:
-    """States forced inside `live` by the pins `starts`, as a vertex -> factor map.
-
-    A pin (w, s) holds w in the kernel state of factor s.  Every live w-edge
-    whose w-side factor is not s then pins its far end to its far factor,
-    the transition of `TwoSatEngine._closure`; every other w-edge is
-    satisfied.  None when some vertex is pinned two ways: the value is 0.
-    """
-    pinned: dict[int, int] = {}
-    queue: list[tuple[int, int]] = []
-    for w, s in starts:
-        seen = pinned.get(w)
-        if seen is None:
-            pinned[w] = s
-            queue.append((w, s))
-        elif seen != s:
-            return None
-    for w, s in queue:  # the loop reaches the pins it appends
-        for x, hw, jx in incident[w]:
-            if hw == s or x not in live:
-                continue
-            seen = pinned.get(x)
-            if seen is None:
-                pinned[x] = jx
-                queue.append((x, jx))
-            elif seen != jx:
-                return None
-    return pinned
-
-
-def _split_value(incident: Sequence[Sequence[tuple[int, int, int]]], component: Sequence[int]) -> int:
-    """Ground-space dimension of one component by pinning and splitting.
+def _split_value(index: Sequence[Sequence[tuple[int, int, int]]]) -> int:
+    """Ground-space dimension of one component, given as its `_own_index`,
+    by pinning and splitting.
 
     A split at a vertex a writes a's qubit in a basis the constraints at a
     respect.  When all of a's edges carry one factor h on a's side, a is
@@ -277,11 +252,18 @@ def _split_value(incident: Sequence[Sequence[tuple[int, int, int]]], component: 
     parts of the live vertices left.  Raises _Unsplittable when some part
     has no vertex with at most two own-side factors.
 
+    Pins are the frozen states of an engine over `index`: a branch freezes
+    a in its kernel factor and the closure of its pins, and resets both once
+    its value is in; a clash in the closure makes it worth 0.  A live
+    vertex's frozen neighbours sit in states their edges allow, so the
+    closure stops where the live set ends.
+
     `_parts` and `_split` yield each subproblem they need and receive its
     value; this loop runs them on an explicit stack, so the depth of the
     recursion, up to one level per qubit, costs no interpreter frames.
     """
-    stack = [_parts(incident, set(component))]
+    eng = TwoSatEngine(len(index), index)
+    stack = [_parts(eng, set(range(len(index))))]
     value = None
     while stack:
         try:
@@ -295,8 +277,9 @@ def _split_value(incident: Sequence[Sequence[tuple[int, int, int]]], component: 
     return value
 
 
-def _parts(incident, live: set[int]):
+def _parts(eng: TwoSatEngine, live: set[int]):
     """The product over the connected parts of `live`, which it empties."""
+    incident = eng.incident
     parts = []
     while live:
         v = live.pop()
@@ -316,13 +299,14 @@ def _parts(incident, live: set[int]):
         if len(part) == 1:
             total *= 2
         elif total:
-            total *= yield _split(incident, part)
+            total *= yield _split(eng, part)
     return total
 
 
-def _split(incident, part: set[int]):
+def _split(eng: TwoSatEngine, part: set[int]):
     """The value of a connected part of two or more vertices, which it takes
     over: the sum of the two branches at one split vertex."""
+    incident = eng.incident
     # the vertex with the fewest live edges, a leaf when there is one
     edges = None
     for v in part:
@@ -337,15 +321,22 @@ def _split(incident, part: set[int]):
         raise _Unsplittable
     # a in the kernel state of each of its factors; with one factor h,
     # also in the state of overlap 1 with h, which every edge constrains
-    branches = [[(x, jx) for x, hv, jx in edges if hv != h] for h in sides]
+    branches = [(h, [(x, jx) for x, hv, jx in edges if hv != h]) for h in sides]
     if len(sides) == 1:
-        branches.append([(x, jx) for x, _, jx in edges])
+        branches.append((*sides, [(x, jx) for x, _, jx in edges]))
     part.remove(a)
+    frozen = eng.frozen
     total = 0
-    for starts in branches:
-        pinned = _pin(incident, part, starts)
+    for h, starts in branches:
+        frozen[a] = h
+        pinned = eng.closure(starts)
         if pinned is not None:
-            total += yield _parts(incident, part - pinned.keys())
+            for x, s in pinned.items():
+                frozen[x] = s
+            total += yield _parts(eng, part - pinned.keys())
+            for x in pinned:
+                frozen[x] = -1
+    frozen[a] = -1
     return total
 
 
@@ -355,19 +346,18 @@ def component_value(
     max_component_qubits: int = 16,
     frozen: Optional[Sequence[int]] = None,
 ) -> int:
-    """Ground-space dimension 2^k - rank restricted to one component.
+    """Ground-space dimension restricted to one component.
 
     Components over `max_component_qubits` raise ComponentCapError.  The
     split counter counts the rest; a component it cannot split goes whole
-    to the verified rank.
+    to the verified rank, whose value is 2^k - rank.
     """
     check_component_cap(max_component_qubits)
     k = len(component)
     if k > max_component_qubits:
         raise ComponentCapError(k, max_component_qubits, component)
-    _check_boundary(inst, component, frozen)
     try:
-        return _split_value(inst.incident, component)
+        return _split_value(_own_index(inst, component, frozen))
     except _Unsplittable:
         return (1 << k) - _verified_rank(inst, component, frozen)
 

@@ -19,7 +19,8 @@ different states to one vertex.  The closure records each vertex at most
 once (a second state at a vertex is the conflict that ends it), so one
 uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
 propagation is linear.  `TwoSatEngine` answers these queries over a
-per-vertex edge index.
+per-vertex edge index; its closure serves the conditioned sampler, the
+backbone probes and the split counter in `counting`.
 
 Deciding the whole clause set at once is `solve`, a function of an (m, 4)
 edge array.  It builds the literal graph in numpy and hands it to scipy's
@@ -55,6 +56,8 @@ class TwoSatEngine:
     `frozen[v]` caches a factor index entailed for v by the current clause
     set, -1 for none.  Queries use it to stop early; callers must only freeze
     entailed states, and `freeze` keeps the cache closed under the BFS transition.
+    The split counter freezes a branch's assumption and its closure, and
+    resets them once the branch is counted.
     """
 
     __slots__ = ("incident", "frozen")
@@ -71,39 +74,37 @@ class TwoSatEngine:
 
     # -- BFS closure ------------------------------------------------------
 
-    def _closure(self, starts: Sequence[tuple[int, int]]) -> Optional[dict[int, int]]:
-        """Forced states reachable from `starts`, as a vertex -> factor map.
+    def closure(self, starts: Sequence[tuple[int, int]]) -> Optional[dict[int, int]]:
+        """States newly forced by `starts`, as a vertex -> factor map.
 
         Returns the map when the closure is a consistent partial assignment,
         and None when some vertex is forced two ways or contradicts a frozen
-        state.  Expansion stops at states already recorded as frozen: their
-        consequences are frozen too.
+        state.  Expansion stops at frozen states, which the map leaves out:
+        their consequences are frozen too.
         """
+        frozen = self.frozen
         visited: dict[int, int] = {}
         queue: list[tuple[int, int]] = []
         for v, s in starts:
-            fv = self.frozen[v]
-            if fv >= 0 and fv != s:
-                return None
-            if v in visited:
-                if visited[v] != s:
+            fv = frozen[v]
+            if fv >= 0:
+                if fv != s:
                     return None
                 continue
-            visited[v] = s
-            if fv < 0:
+            seen = visited.get(v)
+            if seen is None:
+                visited[v] = s
                 queue.append((v, s))
-        head = 0
-        while head < len(queue):
-            v, s = queue[head]
-            head += 1
+            elif seen != s:
+                return None
+        for v, s in queue:  # the loop reaches the states it appends
             for w, hv, jw in self.incident[v]:
                 if hv == s:
                     continue
-                fw = self.frozen[w]
+                fw = frozen[w]
                 if fw >= 0:
                     if fw != jw:
                         return None
-                    visited.setdefault(w, jw)
                     continue
                 seen = visited.get(w)
                 if seen is None:
@@ -125,7 +126,7 @@ class TwoSatEngine:
         fu = self.frozen[u]
         if fu >= 0:
             return fu == k
-        return self._closure([(u, k)]) is not None
+        return self.closure([(u, k)]) is not None
 
     def pinned_to(self, u: int, k: int) -> bool:
         """Does every satisfying assignment put u in factor-k's kernel state?
@@ -142,11 +143,11 @@ class TwoSatEngine:
         fu = self.frozen[u]
         if fu >= 0:
             return fu == k
-        return self._closure([(w, jw) for w, hv, jw in self.incident[u] if hv == k]) is None
+        return self.closure([(w, jw) for w, hv, jw in self.incident[u] if hv == k]) is None
 
     def freeze(self, u: int, k: int) -> None:
         """Record that x[u,k] is entailed, together with its full closure."""
-        visited = self._closure([(u, k)])
+        visited = self.closure([(u, k)])
         if visited is None:
             raise AssertionError("freeze called on a non-entailed state")
         for v, s in visited.items():

@@ -28,7 +28,6 @@ from qsat2.graphs import Graph, components, label_groups, sample_er_graph
 from qsat2.instances import FactorDistribution, Instance, sample_instance, satisfiable
 from qsat2.structure import decouple
 from qsat2.sweep import generate_instance
-from qsat2.twosat import TwoSatEngine
 
 from oracles import (
     block_rows,
@@ -352,7 +351,7 @@ def test_stuck_component_goes_whole_to_the_rank(monkeypatch):
     comp = tuple(range(5))
     assert all({h for _, h, _ in inst.incident[v]} == {0, 1, 2} for v in comp)
     with pytest.raises(counting._Unsplittable):
-        counting._split_value(inst.incident, comp)
+        counting._split_value(counting._own_index(inst, comp, None))
     calls = _spy(monkeypatch, "_verified_rank")
     assert component_value(inst, comp) == 1
     assert calls == [(inst, comp, None)]
@@ -426,37 +425,6 @@ def test_component_value_rejects_an_unfrozen_crossing(monkeypatch):
     assert splits == [] and ranks == []
     # frozen in the edge's own far factor, vertex 2 satisfies it
     assert component_value(inst, (0, 1), frozen=np.array([-1, -1, 1])) == 3
-
-
-# --- pin propagation against the engine's closure ---------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["er", "lat2"]),
-    st.integers(2, 5),
-    st.sampled_from(["any", "free"]),
-    st.integers(0, 10**6),
-    st.data(),
-)
-def test_pins_propagate_like_the_engine_closure(model, f, cond, seed, data):
-    inst = _random_instance(model, f, cond, seed)
-    # the live vertices: everything, or a random subset, where the engine
-    # reads the index with every edge to a dead vertex dropped
-    rng = random.Random(seed)
-    live = set(range(inst.n))
-    if data.draw(st.booleans()):
-        live = {v for v in live if rng.random() < 0.7}
-    assume(live)
-    index = [
-        [e for e in inst.incident[v] if e[0] in live] if v in live else []
-        for v in range(inst.n)
-    ]
-    starts = data.draw(
-        st.lists(st.tuples(st.sampled_from(sorted(live)), st.integers(0, f - 1)), max_size=4)
-    )
-    got = counting._pin(inst.incident, live, starts)
-    assert got == TwoSatEngine(inst.n, index)._closure(starts)
 
 
 # --- kernel bases ----------------------------------------------------------

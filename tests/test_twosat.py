@@ -99,6 +99,37 @@ def test_queries_match_brute_force(sys_, freeze_backbone):
             assert eng.pinned_to(u, k) is all(a[u] == k for a in sats), (u, k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_systems(), st.data())
+def test_closure_is_the_newly_forced_states(sys_, data):
+    # with the backbone frozen, a closure is None exactly when no satisfying
+    # assignment extends its starts, and otherwise it is every unfrozen state
+    # that all the extensions share
+    n, f, edges = sys_
+    sats = _satisfying(n, f, edges)
+    assume(sats)
+    eng = TwoSatEngine(n)
+    for e in edges:
+        eng.add_edge(*e)
+    for v, s in enumerate(sats[0]):
+        if s < f and all(a[v] == s for a in sats):
+            eng.freeze(v, s)
+    state = st.tuples(st.integers(0, n - 1), st.integers(0, f - 1))
+    pairs = data.draw(st.lists(st.lists(state, min_size=2, max_size=2), max_size=4))
+    for starts in [[(u, k)] for u in range(n) for k in range(f)] + pairs:
+        ext = [a for a in sats if all(a[u] == k for u, k in starts)]
+        got = eng.closure(starts)
+        if not ext:
+            assert got is None, starts
+            continue
+        forced = {
+            v: ext[0][v]
+            for v in range(n)
+            if eng.frozen[v] < 0 and ext[0][v] < f and all(a[v] == ext[0][v] for a in ext)
+        }
+        assert got == forced, starts
+
+
 def test_queries_on_a_long_chain():
     # edges (i, i+1, 1, 0) pass state 0 down the chain, and the closing edge
     # (n-1, 0, 1, 1) sends it back to vertex 0 as state 1, so both queries
