@@ -121,17 +121,3 @@ def parse_bra(text: str) -> BraState:
     if len(parts) != 2:
         raise ValueError(f"malformed bra: {text!r}")
     return bra(parse_gq(parts[0]), parse_gq(parts[1]))
-
-
-def proportional(a: BraState, b: BraState) -> bool:
-    """Projective equality.  Canonicalisation makes this structural equality."""
-    return a == b
-
-
-def kernel_ket(b: BraState) -> BraState:
-    """The state annihilated by the bra, as a canonical component pair.
-
-    For b = (b0, b1) the kernel is spanned by (-b1, b0); the result is
-    returned in the same canonical projective form used for bras.
-    """
-    return bra(-b.c1, b.c0)

@@ -39,7 +39,10 @@ class LatticeInfo:
 # builds them, so no graph may have more vertices than int32 can number
 MAX_VERTICES = 2**31 - 1
 
-MODELS = ("er", "lat2", "lat3")  # Erdos-Renyi, square and cubic lattices
+# Erdos-Renyi graphs, square and cubic lattices, each with its lattice
+# dimension, None for er
+LATTICE_DIMS = {"er": None, "lat2": 2, "lat3": 3}
+MODELS = tuple(LATTICE_DIMS)
 
 
 def check_vertex_count(n: int) -> None:

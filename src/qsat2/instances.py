@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exactq import BraState, GaussianRational, bra, parse_bra, proportional
-from .graphs import MODELS, Graph, LatticeInfo, fields_equal, int_rows
+from .exactq import BraState, GaussianRational, bra, parse_bra
+from .graphs import LATTICE_DIMS, MODELS, Graph, LatticeInfo, fields_equal, int_rows
 from .seeding import randbelow, randbelow_batches
 from .twosat import TwoSatEngine, solve
 
@@ -72,9 +72,10 @@ class FactorDistribution:
             raise ValueError("weights must be non-increasing")
         if f > 1 and self.q[0] == 1:
             raise ValueError("a degenerate weight 1 requires f = 1")
+        # bras are in canonical form, so projective equality is structural
         for i in range(f):
             for j in range(i + 1, f):
-                if proportional(self.factors[i], self.factors[j]):
+                if self.factors[i] == self.factors[j]:
                     raise ValueError(f"factors {i} and {j} are proportional")
         # integer thresholds for exact inverse-CDF sampling
         den = lcm(*(w.denominator for w in self.q))
@@ -394,7 +395,7 @@ def parse_instance(text: str) -> Instance:
 
     lattice = None
     if model != "er":
-        d = int(model[3:])
+        d = LATTICE_DIMS[model]
         if L < 2 or L**d != n:
             raise InstanceParseError(f"lattice header inconsistent: n={n}, L={L}, d={d}")
         lattice = LatticeInfo(d, L)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -203,54 +203,27 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
 # frustration predicates for enumerated subgraphs
 
 
-def _side(inst: Instance, a: int, b: int) -> int:
-    """Factor index on a's side of edge (a, b)."""
-    for w, own, _ in inst.incident[a]:
-        if w == b:
-            return own
-    raise KeyError((a, b))
+def _frustrated(inst: Instance, paths: Iterable[Sequence[int]]) -> bool:
+    """Do the edges along `paths` alone admit no product state?
 
-
-def _path_chain(inst: Instance, path: Sequence[int]) -> Optional[tuple[int, int]]:
-    """End factors (h at path[0], j at path[-1]) if every junction survives."""
-    for i in range(1, len(path) - 1):
-        if _side(inst, path[i], path[i - 1]) == _side(inst, path[i], path[i + 1]):
-            return None
-    return _side(inst, path[0], path[1]), _side(inst, path[-1], path[-2])
+    Each edge (a, b) of a path gives its (a, b, h, j) row, read from
+    `inst.incident`, to one `solve`; an edge the instance lacks raises KeyError.
+    """
+    rows = []
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            sides = next((r[1:] for r in inst.incident[a] if r[0] == b), None)
+            if sides is None:
+                raise KeyError((a, b))
+            rows.append((a, b, *sides))
+    return bool(solve(rows))
 
 
 def figure_eight_frustrated(inst: Instance, fig: FigureEight) -> bool:
-    """Both cycles survive as loop constraints with disjoint option sets.
-
-    Each cycle, read as a walk crux -> ... -> crux, must keep all interior
-    junctions alive; it then pins the crux to one of its two end factors.
-    Disjoint option pairs leave the crux no state at all.
-    """
-    options: list[set[int]] = []
-    for cycle in (fig.cycle_a, fig.cycle_b):
-        walk = cycle + (fig.crux,)
-        ends = _path_chain(inst, walk)
-        if ends is None:
-            return False
-        options.append(set(ends))
-    return options[0].isdisjoint(options[1])
+    """The edges of the figure-eight's two cycles admit no product state."""
+    return _frustrated(inst, (cycle + (fig.crux,) for cycle in (fig.cycle_a, fig.cycle_b)))
 
 
 def domino_frustrated(inst: Instance, dom: Domino) -> bool:
-    """Three surviving chain constraints on the shared edge, jointly infeasible.
-
-    The shared pair (b, e) faces three b-to-e chains: the shared edge and the
-    two plaquette side paths.  With all side junctions alive, the pair is
-    stuck iff the three b-end factors are pairwise distinct and so are the
-    three e-end factors; then no kernel state at b or e can absorb two
-    chains at once.
-    """
-    heads = []
-    tails = []
-    for path in dom.paths():
-        ends = _path_chain(inst, path)
-        if ends is None:
-            return False
-        heads.append(ends[0])
-        tails.append(ends[1])
-    return len(set(heads)) == 3 and len(set(tails)) == 3
+    """The seven edges of the domino's three b-to-e paths admit no product state."""
+    return _frustrated(inst, dom.paths())

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .counting import ComponentCapError, check_component_cap, decomposition_value
 from .graphs import (
+    LATTICE_DIMS,
     MODELS,
     check_vertex_count,
     enumerate_dominoes,
@@ -85,7 +86,7 @@ class SweepConfig:
     @property
     def vertex_count(self) -> int:
         """Vertices per instance: `n` for er, `L**d` for lattices."""
-        return self.n if self.model == "er" else self.L ** int(self.model[3])
+        return self.n if self.model == "er" else self.L ** LATTICE_DIMS[self.model]
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def generate_instance(
     if model == "er":
         g = sample_er_graph(n, m, gseed)
     else:
-        g = sample_lattice(2 if model == "lat2" else 3, L, p, gseed)
+        g = sample_lattice(LATTICE_DIMS[model], L, p, gseed)
     if cond == "free":
         inst = sample_frustration_free_instance(g, dist, fseed)
     else:

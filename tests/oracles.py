@@ -30,7 +30,7 @@ from qsat2.counting import (
     _verified_rank,
     product_tree,
 )
-from qsat2.exactq import GQ_ONE, BraState, GaussianRational
+from qsat2.exactq import GQ_ONE, BraState, GaussianRational, bra
 from qsat2.graphs import (
     ComponentReport,
     Graph,
@@ -44,6 +44,15 @@ from qsat2.structure import Decomposition, component_cutoff, decouple
 from qsat2.twosat import TwoSatEngine, solve
 
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+
+
+def kernel_ket(b: BraState) -> BraState:
+    """The state annihilated by the bra, as a canonical component pair.
+
+    For b = (b0, b1) the kernel is spanned by (-b1, b0); the result is
+    returned in the same canonical projective form used for bras.
+    """
+    return bra(-b.c1, b.c0)
 
 
 def bra_vec(b: BraState) -> np.ndarray:

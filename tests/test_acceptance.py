@@ -12,7 +12,7 @@ import time
 from itertools import product
 
 from qsat2.counting import instance_value, product_tree
-from qsat2.exactq import GQ_ZERO, kernel_ket
+from qsat2.exactq import GQ_ZERO
 from qsat2.graphs import (
     components,
     enumerate_dominoes,
@@ -39,6 +39,7 @@ from oracles import (
     BraConstraint,
     chain_constraint,
     kernel_basis,
+    kernel_ket,
     raw_instance_value,
     sample_factor,
     xi_series,

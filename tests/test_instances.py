@@ -322,6 +322,13 @@ def test_round_trip_exotic_factors():
     assert parse_instance(format_instance(inst)) == inst
 
 
+def test_proportional_factors_rejected():
+    # (1, 1) and (2, 2) are one projective bra
+    factors = (bra(1, 0), bra(1, 1), bra(2, 2))
+    with pytest.raises(ValueError, match="^factors 1 and 2 are proportional$"):
+        FactorDistribution(factors, (Fraction(1, 3),) * 3)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

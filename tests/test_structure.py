@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qsat2.structure as structure
 from qsat2.counting import instance_value
 from qsat2.graphs import (
+    FigureEight,
     Graph,
     components,
     enumerate_dominoes,
@@ -31,8 +32,10 @@ from qsat2.sweep import generate_instance
 
 from oracles import (
     brute_force_backbone,
+    brute_force_kernel_assignment,
     frustration_certificate,
     kernel_basis,
+    kernel_ket,
     loop_seed_fixed_states,
     naive_vertex_options,
     raw_instance_value,
@@ -233,8 +236,6 @@ def test_frozen_set_matches_loop_seeds_at_scale(f, gamma):
 
 
 def _kernel_ket_coords(inst, s):
-    from qsat2.exactq import kernel_ket
-
     k = kernel_ket(inst.dist.factors[s])
     return k.c0, k.c1
 
@@ -498,88 +499,70 @@ def test_component_satisfiable_matches_full_scan(model, f, cond, seed):
 # --- small-subgraph frustration predicates -----------------------------------
 
 
-def test_figure_eight_predicate_matches_solver():
-    rng = random.Random(0)
-    g = None
-    hits = 0
-    for seed in range(400):
-        g = sample_er_graph(8, 12, seed=seed)
-        figs = enumerate_figure_eights(g, 3)
-        if not figs:
-            continue
-        inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
-        for fig in figs:
-            verts = set(fig.cycle_a) | set(fig.cycle_b)
-            got = figure_eight_frustrated(inst, fig)
-            # predicate looks at the 6 subgraph edges alone; compare against
-            # a solve on exactly those edges
-            sub = _figure_eight_subinstance(inst, fig)
-            assert got == (not satisfiable(sub)), (seed, fig)
-            hits += 1
-    assert hits > 50
-
-
-def _figure_eight_subinstance(inst, fig):
-    cyc_edges = set()
-    for cyc in (fig.cycle_a, fig.cycle_b):
-        walk = list(cyc) + [cyc[0]]
-        for a, b in zip(walk, walk[1:]):
-            cyc_edges.add((min(a, b), max(a, b)))
-    keep = [i for i, e in enumerate(inst.graph.edges) if e in cyc_edges]
-    verts = sorted(set(fig.cycle_a) | set(fig.cycle_b))
+def _subgraph_unsatisfiable(inst, paths):
+    """No kernel-state assignment satisfies the edges along `paths`, by
+    exhausting the f^k assignments of the k vertices they visit."""
+    want = {frozenset(e) for path in paths for e in zip(path, path[1:])}
+    verts = sorted(set().union(*want))
     local = {v: i for i, v in enumerate(verts)}
-    edges = tuple((local[inst.graph.edges[i][0]], local[inst.graph.edges[i][1]]) for i in keep)
-    pairs = tuple(inst.pairs[i] for i in keep)
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    return Instance(
-        Graph(len(verts), tuple(edges[i] for i in order)),
-        tuple(pairs[i] for i in order),
-        inst.dist,
-        "any",
-        0,
-        0,
-    )
+    rows = [
+        (local[u], local[v], h, j)
+        for u, v, h, j in inst.edge_array.tolist()
+        if frozenset((u, v)) in want
+    ]
+    assert len(rows) == len(want)
+    return brute_force_kernel_assignment(len(verts), rows, inst.dist.f) is None
+
+
+def test_figure_eight_predicate_matches_solver():
+    for f in (3, 4):
+        hits = frustrated = 0
+        for seed in range(400):
+            g = sample_er_graph(8, 12, seed=seed)
+            figs = enumerate_figure_eights(g, 3)
+            if not figs:
+                continue
+            inst = sample_instance(g, FactorDistribution.uniform(f), seed=seed)
+            for fig in figs:
+                loops = [c + c[:1] for c in (fig.cycle_a, fig.cycle_b)]
+                want = _subgraph_unsatisfiable(inst, loops)
+                assert figure_eight_frustrated(inst, fig) == want, (f, seed, fig)
+                hits += 1
+                frustrated += want
+        assert hits > 50 and frustrated > 0, (f, hits, frustrated)
 
 
 def test_domino_predicate_matches_solver():
-    hits = 0
-    for seed in range(60):
-        g = sample_lattice(2, 4, 0.85, seed=seed)
-        doms = enumerate_dominoes(g)
-        if not doms:
-            continue
-        inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
-        for dom in doms:
-            got = domino_frustrated(inst, dom)
-            sub = _domino_subinstance(inst, dom)
-            assert got == (not satisfiable(sub)), (seed, dom)
-            hits += 1
-    assert hits > 100
+    # square and cubic lattices: a cubic edge carries up to four plaquettes
+    for d, L, trials in ((2, 6, 60), (3, 3, 20)):
+        for f in (3, 4):
+            hits = frustrated = 0
+            for seed in range(trials):
+                g = sample_lattice(d, L, 0.9, seed=seed)
+                inst = sample_instance(g, FactorDistribution.uniform(f), seed=seed)
+                for dom in enumerate_dominoes(g):
+                    want = _subgraph_unsatisfiable(inst, dom.paths())
+                    assert domino_frustrated(inst, dom) == want, (d, f, seed, dom)
+                    hits += 1
+                    frustrated += want
+            assert hits > 100 and frustrated > 0, (d, f, hits, frustrated)
 
 
-def _domino_subinstance(inst, dom):
-    dom_edges = set()
-    for path in dom.paths():
-        for a, b in zip(path, path[1:]):
-            dom_edges.add((min(a, b), max(a, b)))
-    keep = [i for i, e in enumerate(inst.graph.edges) if e in dom_edges]
-    verts = sorted({v for e in dom_edges for v in e})
-    local = {v: i for i, v in enumerate(verts)}
-    edges = []
-    pairs = []
-    for i in keep:
-        u, v = inst.graph.edges[i]
-        edges.append((local[u], local[v]))
-        pairs.append(inst.pairs[i])
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    return Instance(
-        Graph(len(verts), tuple(edges[i] for i in order)),
-        tuple(pairs[i] for i in order),
-        inst.dist,
-        "any",
-        0,
-        0,
-    )
+def test_predicates_raise_on_a_missing_edge():
+    # the figure-eight of `build_figure_eight` on an instance without (3, 4)
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]
+    inst = inst_of(5, edges, [(0, 1)] * len(edges), 2)
+    with pytest.raises(KeyError) as err:
+        figure_eight_frustrated(inst, FigureEight(0, (0, 1, 2), (0, 3, 4)))
+    assert err.value.args == ((3, 4),)
+    # a domino of the full 3 x 3 square lattice on an instance without its shared edge
+    g = sample_lattice(2, 3, 1.0, seed=0)
+    dom = enumerate_dominoes(g)[0]
+    edges = [e for e in g.edges if e != dom.shared]
+    inst = inst_of(g.n, edges, [(0, 1)] * len(edges), 2)
+    with pytest.raises(KeyError) as err:
+        domino_frustrated(inst, dom)
+    assert err.value.args == (dom.shared,)
 
 
 def test_domino_never_frustrated_with_two_factors():
