@@ -2,15 +2,15 @@
 
 The value of an instance is the dimension of the simultaneous kernel of all
 constraint projectors, the product of its connected components' values.
-A component is counted first by pinning and splitting.  A pin holds a qubit
-in the kernel state of one factor and propagates by the 2-SAT engine's
+A component is counted by pinning and splitting.  A pin holds a qubit in
+the kernel state of one factor and propagates by the 2-SAT engine's
 closure; a qubit whose edges carry at most two factors on its side splits
 the count into two pinned branches.  Trees, and every component at f = 2,
-always split.  A component with a part in which every qubit meets three or more
-factors goes whole to the rank.
+always split.  A part in which every qubit meets three or more factors is
+a leaf, counted by the rank over its own edges with its pins as boundary.
 
 The rank's value is 2^k - rank(M), where M stacks, for every edge, the
-constraint bra tensored with standard-basis bras on the component's other
+constraint bra tensored with standard-basis bras on the part's other
 k-2 qubits; every such row has at most four nonzero entries.  Rows are built
 per edge: the edge's coefficients are embedded in each field once, and its
 rows step the spectator bits through the submasks of one mask.  Rank is
@@ -20,7 +20,7 @@ undercount (a minor may vanish mod p), so the two primes must agree; a
 disagreement, or a coefficient whose denominator vanishes mod a prime,
 escalates to exact arithmetic over the Gaussian rationals.  The one setting
 is the qubit cap: a component over `max_component_qubits` raises
-ComponentCapError before either counter runs.
+ComponentCapError before any splitting or rank runs.
 """
 
 from __future__ import annotations
@@ -134,24 +134,26 @@ class _ExactField:
 # ---------------------------------------------------------------------------
 # rows and rank
 
+# per vertex, (far end, own factor, far factor) for each of its edges
+_Index = Sequence[Sequence[tuple[int, int, int]]]
+
 
 def _own_index(
-    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]]
+    incident: _Index, component: Sequence[int], frozen: Optional[Sequence[int]]
 ) -> list[list[tuple[int, int, int]]]:
-    """The component's edges over local qubits 0..k-1, its vertices in sorted
-    order: (local far end, own factor, far factor), in `Instance.incident` order.
+    """The edges of `component`, given in ascending order, over local qubits
+    0..k-1: (local far end, own factor, far factor), in `incident` order.
 
     An edge may leave the component only toward a vertex frozen in the
     kernel state of the edge's far factor; such a constraint annihilates
     the frozen state and imposes nothing here, so the edge is dropped.  Any
     other crossing edge raises ValueError.
     """
-    comp = sorted(component)
-    local = {v: i for i, v in enumerate(comp)}
+    local = {v: i for i, v in enumerate(component)}
     index = []
-    for u in comp:
+    for u in component:
         own = []
-        for v, h, j in inst.incident[u]:
+        for v, h, j in incident[u]:
             pv = local.get(v)
             if pv is not None:
                 own.append((pv, h, j))
@@ -162,21 +164,17 @@ def _own_index(
 
 
 def _constraint_blocks(
-    inst: Instance,
-    component: Sequence[int],
-    frozen: Optional[Sequence[int]] = None,
+    index: _Index, factors: Sequence
 ) -> Iterable[tuple[list[tuple[int, GaussianRational]], int]]:
-    """Constraint rows over the component's 2^k basis, one block per edge.
+    """Constraint rows over the 2^k basis of an `_own_index`, one block per edge.
 
-    Basis states are bitmasks over the component's qubits in sorted order,
-    local qubit i at bit i.  An edge's block is its nonzero entries
-    (offset, bra_u[x_u] * bra_v[x_v]) and the mask of the other k-2 qubits;
-    it stands for the rows `rest | offset`, `rest` each submask in turn.
-    The edges are those of `_own_index`, in `edge_array` order.
+    Basis states are bitmasks over the local qubits, qubit i at bit i.  An
+    edge's block is its nonzero entries (offset, bra_u[x_u] * bra_v[x_v])
+    and the mask of the other k-2 qubits; it stands for the rows
+    `rest | offset`, `rest` each submask in turn.  Edges come by their lower
+    end, then in index order.
     """
-    index = _own_index(inst, component, frozen)
     full = (1 << len(index)) - 1
-    factors = inst.dist.factors
     for pu, own in enumerate(index):
         for pv, h, j in own:
             if pv < pu:
@@ -213,31 +211,25 @@ def _echelon_rank(blocks: Iterable, field) -> int:
     return len(basis)
 
 
-def _verified_rank(
-    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
-) -> int:
+def _verified_rank(index: _Index, factors: Sequence) -> int:
     """The rank modulo both MOD_PRIMES; a clash or a disagreement settles it exactly."""
     try:
-        ranks = {_echelon_rank(_constraint_blocks(inst, component, frozen), fd) for fd in _MOD_FIELDS}
+        ranks = {_echelon_rank(_constraint_blocks(index, factors), fd) for fd in _MOD_FIELDS}
     except _PrimeClash:
         ranks = set()
-    return ranks.pop() if len(ranks) == 1 else _exact_rank(inst, component, frozen)
+    return ranks.pop() if len(ranks) == 1 else _exact_rank(index, factors)
 
 
-def _exact_rank(inst, component, frozen=None) -> int:
-    return _echelon_rank(_constraint_blocks(inst, component, frozen), _ExactField())
+def _exact_rank(index: _Index, factors: Sequence) -> int:
+    return _echelon_rank(_constraint_blocks(index, factors), _ExactField())
 
 
 # ---------------------------------------------------------------------------
 # pins and splits
 
-class _Unsplittable(Exception):
-    """Some part has no live vertex with at most two own-side factors."""
-
-
-def _split_value(index: Sequence[Sequence[tuple[int, int, int]]]) -> int:
+def _split_value(index: _Index, factors: Sequence) -> int:
     """Ground-space dimension of one component, given as its `_own_index`,
-    by pinning and splitting.
+    by pinning and splitting, with the verified rank at the leaves.
 
     A split at a vertex a writes a's qubit in a basis the constraints at a
     respect.  When all of a's edges carry one factor h on a's side, a is
@@ -249,8 +241,9 @@ def _split_value(index: Sequence[Sequence[tuple[int, int, int]]]) -> int:
     way the value is the sum of the two branches.  Once a branch's pins are
     propagated, every pinned vertex adds a factor of 1 and its edges impose
     nothing more, so the branch is worth the product over the connected
-    parts of the live vertices left.  Raises _Unsplittable when some part
-    has no vertex with at most two own-side factors.
+    parts of the live vertices left.  A part with no vertex of at most two
+    own-side factors is worth 2^k - rank over its own edges: its pins are
+    its boundary, and every edge to them is satisfied at the pinned end.
 
     Pins are the frozen states of an engine over `index`: a branch freezes
     a in its kernel factor and the closure of its pins, and resets both once
@@ -263,7 +256,7 @@ def _split_value(index: Sequence[Sequence[tuple[int, int, int]]]) -> int:
     recursion, up to one level per qubit, costs no interpreter frames.
     """
     eng = TwoSatEngine(len(index), index)
-    stack = [_parts(eng, set(range(len(index))))]
+    stack = [_parts(eng, factors, set(range(len(index))))]
     value = None
     while stack:
         try:
@@ -277,7 +270,7 @@ def _split_value(index: Sequence[Sequence[tuple[int, int, int]]]) -> int:
     return value
 
 
-def _parts(eng: TwoSatEngine, live: set[int]):
+def _parts(eng: TwoSatEngine, factors: Sequence, live: set[int]):
     """The product over the connected parts of `live`, which it empties."""
     incident = eng.incident
     parts = []
@@ -299,13 +292,14 @@ def _parts(eng: TwoSatEngine, live: set[int]):
         if len(part) == 1:
             total *= 2
         elif total:
-            total *= yield _split(eng, part)
+            total *= yield _split(eng, factors, part)
     return total
 
 
-def _split(eng: TwoSatEngine, part: set[int]):
+def _split(eng: TwoSatEngine, factors: Sequence, part: set[int]):
     """The value of a connected part of two or more vertices, which it takes
-    over: the sum of the two branches at one split vertex."""
+    over: the sum of two branches at one split vertex, or 2^k - rank when no
+    vertex splits."""
     incident = eng.incident
     # the vertex with the fewest live edges, a leaf when there is one
     edges = None
@@ -318,11 +312,14 @@ def _split(eng: TwoSatEngine, part: set[int]):
                 if len(own) == 1:
                     break
     if edges is None:
-        raise _Unsplittable
+        index = _own_index(incident, sorted(part), eng.frozen)
+        return (1 << len(part)) - _verified_rank(index, factors)
     # a in the kernel state of each of its factors; with one factor h,
     # also in the state of overlap 1 with h, which every edge constrains
     branches = [(h, [(x, jx) for x, hv, jx in edges if hv != h]) for h in sides]
     if len(sides) == 1:
+        # frozen[a] = h misstates a in this branch, but every neighbour of
+        # a is pinned, so no part below has an edge at a to read it
         branches.append((*sides, [(x, jx) for x, _, jx in edges]))
     part.remove(a)
     frozen = eng.frozen
@@ -333,7 +330,7 @@ def _split(eng: TwoSatEngine, part: set[int]):
         if pinned is not None:
             for x, s in pinned.items():
                 frozen[x] = s
-            total += yield _parts(eng, part - pinned.keys())
+            total += yield _parts(eng, factors, part - pinned.keys())
             for x in pinned:
                 frozen[x] = -1
     frozen[a] = -1
@@ -346,20 +343,21 @@ def component_value(
     max_component_qubits: int = 16,
     frozen: Optional[Sequence[int]] = None,
 ) -> int:
-    """Ground-space dimension restricted to one component.
+    """Ground-space dimension restricted to one component, by `_split_value`.
 
-    Components over `max_component_qubits` raise ComponentCapError.  The
-    split counter counts the rest; a component it cannot split goes whole
-    to the verified rank, whose value is 2^k - rank.
+    A vertex repeated or outside the instance raises ValueError, and a
+    component over `max_component_qubits` raises ComponentCapError.
     """
     check_component_cap(max_component_qubits)
-    k = len(component)
-    if k > max_component_qubits:
-        raise ComponentCapError(k, max_component_qubits, component)
-    try:
-        return _split_value(_own_index(inst, component, frozen))
-    except _Unsplittable:
-        return (1 << k) - _verified_rank(inst, component, frozen)
+    comp = sorted(component)
+    for prev, v in zip([None] + comp, comp):
+        if v == prev:
+            raise ValueError(f"vertex {v} appears twice in the component")
+        if not 0 <= v < inst.n:
+            raise ValueError(f"vertex {v} is not one of the instance's {inst.n} vertices")
+    if len(comp) > max_component_qubits:
+        raise ComponentCapError(len(comp), max_component_qubits, component)
+    return _split_value(_own_index(inst.incident, comp, frozen), inst.dist.factors)
 
 
 def product_tree(values: Sequence[int]) -> int:

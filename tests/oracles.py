@@ -24,8 +24,10 @@ from scipy.sparse.csgraph import connected_components
 from qsat2.counting import (
     MOD_PRIMES,
     _constraint_blocks,
+    _exact_rank,
     _ExactField,
     _ModField,
+    _own_index,
     _PrimeClash,
     _verified_rank,
     product_tree,
@@ -135,7 +137,7 @@ def reference_constraint_rows(
 ) -> Iterator[list[tuple[int, GaussianRational]]]:
     """Sparse constraint rows of one component by a scan over every edge.
 
-    Same rows, row order and boundary rule as `counting._constraint_blocks`
+    Same rows, row order and boundary rule as `constraint_blocks`
     flattened by `block_rows`: an edge leaving the component is skipped when
     its outside endpoint is frozen in that edge's own factor, and raises
     ValueError otherwise.
@@ -168,6 +170,31 @@ def reference_constraint_rows(
                 if idx >> b & 1:
                     rest |= 1 << pos
             yield [(rest | off, coeff) for off, coeff in entries]
+
+
+def _component_index(inst: Instance, component: Sequence[int], frozen) -> list:
+    return _own_index(inst.incident, sorted(component), frozen)
+
+
+def constraint_blocks(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
+):
+    """`counting._constraint_blocks` over one component of `inst`."""
+    return _constraint_blocks(_component_index(inst, component, frozen), inst.dist.factors)
+
+
+def verified_rank(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
+) -> int:
+    """`counting._verified_rank` over one whole component of `inst`."""
+    return _verified_rank(_component_index(inst, component, frozen), inst.dist.factors)
+
+
+def exact_rank(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
+) -> int:
+    """`counting._exact_rank` over one whole component of `inst`."""
+    return _exact_rank(_component_index(inst, component, frozen), inst.dist.factors)
 
 
 def block_rows(blocks) -> Iterator[list[tuple[int, GaussianRational]]]:
@@ -257,7 +284,7 @@ def kernel_basis(inst: Instance, component: Sequence[int]) -> list[dict[int, Gau
     Intended for verification on small components; cost grows with both the
     component size and the kernel dimension.
     """
-    return _kernel_from_rows(block_rows(_constraint_blocks(inst, component)), len(component))
+    return _kernel_from_rows(block_rows(constraint_blocks(inst, component)), len(component))
 
 
 def reference_kernel_basis(
@@ -277,7 +304,78 @@ def raw_instance_value(inst: Instance) -> int:
     if not satisfiable(inst):
         return 0
     comps = reference_label_groups(components(inst.graph).labels)
-    return product_tree([(1 << len(comp)) - _verified_rank(inst, comp) for comp in comps])
+    return product_tree([(1 << len(comp)) - verified_rank(inst, comp) for comp in comps])
+
+
+def highest_degree_split_value(
+    inst: Instance, component: Sequence[int], frozen: Optional[Sequence[int]] = None
+) -> int:
+    """Ground-space dimension of one component by pinning and splitting at
+    the live vertex of highest live degree, among those with at most two
+    own-side factors (the lowest local id on a tie).
+
+    A second split rule beside `counting._split_value`'s fewest live edges:
+    above the cap there is no rank to compare with, so two rules must agree.
+    It recurses in interpreter frames and propagates its pins in a dict of
+    its own, not through `TwoSatEngine`; a part where no vertex splits goes
+    to the verified rank with its pins as boundary, as in the package.
+    """
+    index = _component_index(inst, component, frozen)
+    factors = inst.dist.factors
+
+    def closure(pins, starts):
+        pins = dict(pins)
+        queue = list(starts)
+        while queue:
+            v, s = queue.pop()
+            if v in pins:
+                if pins[v] != s:
+                    return None
+                continue
+            pins[v] = s
+            queue += [(w, jw) for w, hv, jw in index[v] if hv != s]
+        return pins
+
+    def value(live, pins):
+        # the product over the connected parts of `live`, which it empties
+        total = 1
+        while live and total:
+            part, stack = set(), [min(live)]
+            while stack:
+                v = stack.pop()
+                if v in live:
+                    live.remove(v)
+                    part.add(v)
+                    stack += [w for w, _, _ in index[v]]
+            total *= part_value(part, pins)
+        return total
+
+    def part_value(part, pins):
+        if len(part) == 1:
+            return 2
+        best = None
+        for v in sorted(part):
+            own = [(x, hv, jx) for x, hv, jx in index[v] if x in part]
+            sides = {hv for _, hv, _ in own}
+            if len(sides) <= 2 and (best is None or len(own) > len(best[1])):
+                best = v, own, sides
+        if best is None:
+            frozen_pins = [pins.get(v, -1) for v in range(len(index))]
+            part_index = _own_index(index, sorted(part), frozen_pins)
+            return (1 << len(part)) - _verified_rank(part_index, factors)
+        a, own, sides = best
+        branches = [[(a, h)] for h in sorted(sides)]
+        if len(sides) == 1:
+            # a in the state of overlap 1 with its one factor: every edge pins
+            branches.append([(x, jx) for x, _, jx in own])
+        total = 0
+        for starts in branches:
+            pinned = closure(pins, starts)
+            if pinned is not None:
+                total += value(part - {a} - pinned.keys(), pinned)
+        return total
+
+    return value(set(range(len(index))), {})
 
 
 def reference_component_satisfiable(inst: Instance, comp: Sequence[int]) -> bool:

@@ -12,11 +12,8 @@ import qsat2.counting as counting
 from qsat2.counting import (
     MOD_PRIMES,
     ComponentCapError,
-    _constraint_blocks,
-    _exact_rank,
     _ModField,
     _PrimeClash,
-    _verified_rank,
     check_component_cap,
     component_value,
     decomposition_value,
@@ -31,14 +28,18 @@ from qsat2.sweep import generate_instance
 
 from oracles import (
     block_rows,
+    constraint_blocks,
     dense_component_value,
     dense_instance_value,
     diagonal_count,
+    exact_rank,
+    highest_degree_split_value,
     kernel_basis,
     raw_instance_value,
     reference_component_rank,
     reference_constraint_rows,
     reference_kernel_basis,
+    verified_rank,
 )
 
 
@@ -121,8 +122,8 @@ def test_modular_exact_and_dense_ranks_agree(seed):
     g = sample_er_graph(7, 9, seed=seed)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=seed)
     for comp in label_groups(components(g).labels):
-        exact = _exact_rank(inst, comp)
-        verified = _verified_rank(inst, comp)
+        exact = exact_rank(inst, comp)
+        verified = verified_rank(inst, comp)
         k = len(comp)
         dense = 2**k - dense_component_value(inst, comp)
         assert exact == verified == dense
@@ -178,12 +179,12 @@ def test_constraint_rows_match_full_scan(model, f, cond, seed):
     dec = decouple(inst)
     for comp in label_groups(dec.residual_labels):
         if len(comp) <= _ROWS_MAX_K:
-            assert list(block_rows(_constraint_blocks(inst, comp, dec.frozen))) == list(
+            assert list(block_rows(constraint_blocks(inst, comp, dec.frozen))) == list(
                 reference_constraint_rows(inst, comp, dec.frozen)
             )
     for comp in label_groups(dec.report.labels):
         if len(comp) <= _ROWS_MAX_K:
-            assert list(block_rows(_constraint_blocks(inst, comp))) == list(
+            assert list(block_rows(constraint_blocks(inst, comp))) == list(
                 reference_constraint_rows(inst, comp)
             )
 
@@ -201,7 +202,7 @@ def test_constraint_rows_reject_an_unfrozen_crossing(model, f, cond, seed):
     cut = next(v for u, v in inst.graph.edges if u in inside and v in inside)
     part = sorted(inside - {cut})
     with pytest.raises(ValueError, match="crosses"):
-        list(_constraint_blocks(inst, part, dec.frozen))
+        list(constraint_blocks(inst, part, dec.frozen))
     with pytest.raises(ValueError, match="crosses"):
         list(reference_constraint_rows(inst, part, dec.frozen))
 
@@ -222,25 +223,25 @@ def test_rank_and_kernel_match_row_by_row_reference(model, f, cond, seed):
     for comp in label_groups(dec.residual_labels):
         if len(comp) <= _ROWS_MAX_K:
             ref = reference_component_rank(inst, comp, dec.frozen)
-            assert _verified_rank(inst, comp, dec.frozen) == ref
-            assert _exact_rank(inst, comp, dec.frozen) == ref
+            assert verified_rank(inst, comp, dec.frozen) == ref
+            assert exact_rank(inst, comp, dec.frozen) == ref
     for comp in label_groups(dec.report.labels):
         if len(comp) <= _ROWS_MAX_K:
             ref = reference_component_rank(inst, comp)
-            assert _verified_rank(inst, comp) == ref
-            assert _exact_rank(inst, comp) == ref
+            assert verified_rank(inst, comp) == ref
+            assert exact_rank(inst, comp) == ref
             assert _ordered(kernel_basis(inst, comp)) == _ordered(reference_kernel_basis(inst, comp))
 
 
 def test_two_qubit_component_is_one_row():
     # non-diagonal factors (1,1) and (1,-1): all four entries are nonzero
     inst = inst_of(2, [(0, 1)], [(2, 3)], 4)
-    blocks = list(_constraint_blocks(inst, (0, 1)))
+    blocks = list(constraint_blocks(inst, (0, 1)))
     assert len(blocks) == 1
     entries, mask = blocks[0]
     assert mask == 0 and len(entries) == 4
     assert list(block_rows(blocks)) == list(reference_constraint_rows(inst, (0, 1)))
-    assert _verified_rank(inst, (0, 1)) == _exact_rank(inst, (0, 1)) == 1
+    assert verified_rank(inst, (0, 1)) == exact_rank(inst, (0, 1)) == 1
     assert _ordered(kernel_basis(inst, (0, 1))) == _ordered(reference_kernel_basis(inst, (0, 1)))
 
 
@@ -265,9 +266,9 @@ def test_prime_clash_escalates_to_exact(monkeypatch):
     dist = FactorDistribution((bra(1, 0), odd), (Fraction(1, 2), Fraction(1, 2)))
     inst = Instance(Graph(3, ((0, 1), (0, 2), (1, 2))), ((1, 0), (1, 1), (0, 1)), dist, "any", 0, 0)
     comp = (0, 1, 2)
-    exact = counting._exact_rank(inst, comp)
+    exact = exact_rank(inst, comp)
     calls = _spy(monkeypatch, "_exact_rank")
-    assert _verified_rank(inst, comp) == exact
+    assert verified_rank(inst, comp) == exact
     assert len(calls) == 1
     assert exact == 2**3 - dense_component_value(inst, comp)
 
@@ -276,7 +277,7 @@ def test_prime_disagreement_escalates_to_exact(monkeypatch):
     g = sample_er_graph(8, 10, seed=4)
     inst = sample_instance(g, FactorDistribution.uniform(3), seed=4)
     comp = max(label_groups(components(g).labels), key=len)
-    true_rank = _exact_rank(inst, comp)
+    true_rank = exact_rank(inst, comp)
     assert true_rank > 0
     real = counting._echelon_rank
 
@@ -286,7 +287,7 @@ def test_prime_disagreement_escalates_to_exact(monkeypatch):
 
     monkeypatch.setattr(counting, "_echelon_rank", skewed)
     calls = _spy(monkeypatch, "_exact_rank")
-    assert _verified_rank(inst, comp) == true_rank
+    assert verified_rank(inst, comp) == true_rank
     assert len(calls) == 1
 
 
@@ -305,22 +306,25 @@ def test_mod_field_inverse():
 _SPLIT_ORACLE_MAX_K = 12
 
 
-@settings(max_examples=30, deadline=None)
+# five families share these examples, and the exact rank of one 12-qubit
+# component can take 30 s, so the budget stays small
+@settings(max_examples=36, deadline=None)
 @given(
     st.sampled_from(
         [
-            ("er", dict(n=30, m=24)),
-            ("er", dict(n=8, m=11)),  # dense: cyclic and frustrated components
-            ("lat2", dict(L=4, p=0.55)),
-            ("lat3", dict(L=2, p=0.7)),
+            # (model, size, lowest f)
+            ("er", dict(n=30, m=24), 2),
+            ("er", dict(n=8, m=11), 2),  # dense: cyclic and frustrated components
+            ("er", dict(n=7, m=14), 4),  # denser: some parts reach the rank leaf
+            ("lat2", dict(L=4, p=0.55), 2),
+            ("lat3", dict(L=2, p=0.7), 2),
         ]
-    ),
-    st.integers(2, 6),
+    ).flatmap(lambda fam: st.tuples(st.just(fam), st.integers(fam[2], 6))),
     st.sampled_from(["any", "free"]),
     st.integers(0, 10**6),
 )
-def test_split_counter_matches_the_rank(family, f, cond, seed):
-    model, kw = family
+def test_split_counter_matches_the_rank(family_f, cond, seed):
+    (model, kw, _), f = family_f
     inst = generate_instance(model, FactorDistribution.uniform(f), seed, cond=cond, **kw)
     dec = decouple(inst)
     comps = [(c, None) for c in label_groups(dec.report.labels)]
@@ -330,32 +334,46 @@ def test_split_counter_matches_the_rank(family, f, cond, seed):
         if len(comp) <= _SPLIT_ORACLE_MAX_K:
             full = 1 << len(comp)
             value = component_value(inst, comp, frozen=frozen)
-            assert value == full - _verified_rank(inst, comp, frozen)
-            assert value == full - _exact_rank(inst, comp, frozen)
+            assert value == full - verified_rank(inst, comp, frozen)
+            assert value == full - exact_rank(inst, comp, frozen)
 
 
-def _k5_tournament():
+def _k5_tournament(pendant=0):
     # edge i -> i+1 carries (1, 0) and edge i -> i+2 carries (2, 0), so every
-    # vertex meets factors 0, 1 and 2 on its own side
+    # vertex meets factors 0, 1 and 2 on its own side; a pendant path of
+    # (0, 1) edges hangs off vertex 0
     edges = {}
     for i in range(5):
         for step, h in ((1, 1), (2, 2)):
             u, v = i, (i + step) % 5
             edges[min(u, v), max(u, v)] = (h, 0) if u < v else (0, h)
+    for u, v in zip([0] + list(range(5, 4 + pendant)), range(5, 5 + pendant)):
+        edges[u, v] = (0, 1)
     order = sorted(edges)
-    return inst_of(5, order, [edges[e] for e in order], 3)
+    return inst_of(5 + pendant, order, [edges[e] for e in order], 3)
 
 
 def test_stuck_component_goes_whole_to_the_rank(monkeypatch):
     inst = _k5_tournament()
     comp = tuple(range(5))
     assert all({h for _, h, _ in inst.incident[v]} == {0, 1, 2} for v in comp)
-    with pytest.raises(counting._Unsplittable):
-        counting._split_value(counting._own_index(inst, comp, None))
+    assert not hasattr(counting, "_Unsplittable")
     calls = _spy(monkeypatch, "_verified_rank")
     assert component_value(inst, comp) == 1
-    assert calls == [(inst, comp, None)]
+    assert calls == [(counting._own_index(inst.incident, comp, None), inst.dist.factors)]
     assert dense_component_value(inst, comp) == 1
+
+
+def test_rank_sees_only_the_stuck_core(monkeypatch):
+    # the pendant path splits away; in the one branch that leaves vertex 0
+    # unpinned, the tournament is a stuck part and only it reaches the rank
+    inst = _k5_tournament(pendant=3)
+    comp = tuple(range(8))
+    want = (1 << 8) - exact_rank(inst, comp)
+    assert want == dense_component_value(inst, comp) == 4
+    calls = _spy(monkeypatch, "_verified_rank")
+    assert component_value(inst, comp) == want
+    assert [len(index) for index, _ in calls] == [5]
 
 
 def test_trees_never_reach_the_rank(monkeypatch):
@@ -367,7 +385,7 @@ def test_trees_never_reach_the_rank(monkeypatch):
         dec = decouple(inst)
         comps += [(inst, c, dec.frozen) for c in label_groups(dec.residual_labels)]
     assert max(len(c) for _, c, _ in comps) >= 8
-    want = [(1 << len(c)) - _verified_rank(inst, c, frozen) for inst, c, frozen in comps]
+    want = [(1 << len(c)) - verified_rank(inst, c, frozen) for inst, c, frozen in comps]
     calls = _spy(monkeypatch, "_verified_rank")
     assert [component_value(inst, c, frozen=frozen) for inst, c, frozen in comps] == want
     assert calls == []
@@ -381,7 +399,7 @@ def _path(k):
 def test_long_path_counts_past_the_interpreter_recursion_limit():
     # one split per qubit down the path: a recursion two frames deep per
     # qubit would overrun the default limit of 1,000 frames at 600 qubits
-    assert component_value(_path(8), range(8)) == 9 == 256 - _verified_rank(_path(8), range(8))
+    assert component_value(_path(8), range(8)) == 9 == 256 - verified_rank(_path(8), range(8))
     k = 600
     assert component_value(_path(k), range(k), max_component_qubits=k) == k + 1
 
@@ -427,6 +445,48 @@ def test_component_value_rejects_an_unfrozen_crossing(monkeypatch):
     assert component_value(inst, (0, 1), frozen=np.array([-1, -1, 1])) == 3
 
 
+@pytest.mark.parametrize(
+    "comp, message",
+    [
+        ((0, 0, 1, 2), "vertex 0 appears twice in the component"),
+        ((0, 1, 2, 2), "vertex 2 appears twice in the component"),
+        ((0, 1, 2, 3), "vertex 3 is not one of the instance's 3 vertices"),
+        ((-1, 0, 1, 2), "vertex -1 is not one of the instance's 3 vertices"),
+    ],
+)
+def test_component_value_rejects_a_malformed_component(monkeypatch, comp, message):
+    # path 0 - 1 - 2 at f = 2: unchecked, a repeated vertex counts 9 or 10,
+    # a negative one reads the last vertex's edges, a large one raises
+    # IndexError
+    inst = inst_of(3, [(0, 1), (1, 2)], [(0, 0), (0, 0)], 2)
+    assert component_value(inst, (0, 1, 2)) == 5 == dense_component_value(inst, (0, 1, 2))
+    splits = _spy(monkeypatch, "_split_value")
+    ranks = _spy(monkeypatch, "_verified_rank")
+    for cap in (16, 3):  # 4 vertices over a cap of 3: checked before the cap
+        with pytest.raises(ValueError, match=message):
+            component_value(inst, comp, cap)
+    assert splits == [] and ranks == []
+
+
+def test_two_split_rules_agree_above_the_cap():
+    # residual components of 17-40 qubits have no rank oracle, so the
+    # fewest-live-edges rule is checked against the highest-degree one
+    insts = []
+    for seed in range(6):
+        f4, f3 = FactorDistribution.uniform(4), FactorDistribution.uniform(3)
+        insts.append(generate_instance("lat2", f4, seed, cond="free", L=16, p=0.6))
+        insts.append(generate_instance("er", f3, seed, n=400, m=300))
+    checked = 0
+    for inst in insts:
+        dec = decouple(inst)
+        for comp in label_groups(dec.residual_labels):
+            if 17 <= len(comp) <= 40:
+                value = component_value(inst, comp, max_component_qubits=40, frozen=dec.frozen)
+                assert value == highest_degree_split_value(inst, comp, dec.frozen)
+                checked += 1
+    assert checked == 11
+
+
 # --- kernel bases ----------------------------------------------------------
 
 
@@ -446,7 +506,7 @@ def test_kernel_basis_spans_and_annihilates():
         for comp in label_groups(components(g).labels):
             basis = kernel_basis(inst, comp)
             assert len(basis) == component_value(inst, comp)
-            rows = list(block_rows(_constraint_blocks(inst, comp)))
+            rows = list(block_rows(constraint_blocks(inst, comp)))
             for vec in basis:
                 assert vec  # nonzero
                 for row in rows:
