@@ -2,12 +2,13 @@
 
 The value of an instance is the dimension of the simultaneous kernel of all
 constraint projectors, the product of its connected components' values.
-A component is counted by pinning and splitting.  A pin holds a qubit in
-the kernel state of one factor and propagates by the 2-SAT engine's
-closure; a qubit whose edges carry at most two factors on its side splits
-the count into two pinned branches.  Trees, and every component at f = 2,
-always split.  A part in which every qubit meets three or more factors is
-a leaf, counted by the rank over its own edges with its pins as boundary.
+A component is counted by pinning and splitting.  A pin freezes a qubit
+in the kernel state of one factor in a 2-SAT engine and propagates by its
+closure; a qubit is live exactly when it is not frozen.  A live qubit
+whose edges carry at most two factors on its side splits the count into
+two pinned branches.  Trees, and every component at f = 2, always split.
+A part in which every qubit meets three or more factors is a leaf,
+counted by the rank over its own edges with its pins as boundary.
 
 The rank's value is 2^k - rank(M), where M stacks, for every edge, the
 constraint bra tensored with standard-basis bras on the part's other
@@ -245,18 +246,18 @@ def _split_value(index: _Index, factors: Sequence) -> int:
     own-side factors is worth 2^k - rank over its own edges: its pins are
     its boundary, and every edge to them is satisfied at the pinned end.
 
-    Pins are the frozen states of an engine over `index`: a branch freezes
-    a in its kernel factor and the closure of its pins, and resets both once
-    its value is in; a clash in the closure makes it worth 0.  A live
-    vertex's frozen neighbours sit in states their edges allow, so the
-    closure stops where the live set ends.
+    Pins are the frozen states of an engine over `index`, and a vertex is
+    live exactly when it is not frozen.  A branch freezes a in its kernel
+    factor and the closure of its pins, and resets both once its value is
+    in; a clash in the closure makes it worth 0.  A live vertex's frozen
+    neighbours sit in states their edges allow, so the closure stops there.
 
-    `_parts` and `_split` yield each subproblem they need and receive its
-    value; this loop runs them on an explicit stack, so the depth of the
-    recursion, up to one level per qubit, costs no interpreter frames.
+    `_product` yields each subproblem it needs and receives its value; this
+    loop runs them on an explicit stack, so the depth of the recursion, up
+    to one level per qubit, costs no interpreter frames.
     """
     eng = TwoSatEngine(len(index), index)
-    stack = [_parts(eng, factors, set(range(len(index))))]
+    stack = [_product(eng, factors, range(len(index)))]
     value = None
     while stack:
         try:
@@ -270,70 +271,68 @@ def _split_value(index: _Index, factors: Sequence) -> int:
     return value
 
 
-def _parts(eng: TwoSatEngine, factors: Sequence, live: set[int]):
-    """The product over the connected parts of `live`, which it empties."""
-    incident = eng.incident
-    parts = []
-    while live:
-        v = live.pop()
-        part, stack = {v}, [v]
-        while stack:
-            for x, _, _ in incident[stack.pop()]:
-                if x in live:
-                    live.remove(x)
-                    part.add(x)
-                    stack.append(x)
-        parts.append(part)
-    # an emptied set keeps its table until cleared, and a deep recursion
-    # would hold one per level
-    live.clear()
+def _product(eng: TwoSatEngine, factors: Sequence, starts: Iterable[int]):
+    """The product over the connected parts of the live vertices that
+    `starts` reaches: per part, the sum of two branches at one split vertex,
+    or 2^k - rank when no vertex splits.
+
+    While a part is counted, every vertex outside it is frozen or cut off
+    from it by frozen vertices, and those stay frozen until its value is
+    in, so `frozen[x] < 0` is the test `x in part`.
+    """
+    incident, frozen = eng.incident, eng.frozen
+    parts, seen = [], set()
+    for v in starts:
+        if frozen[v] < 0 and v not in seen:
+            seen.add(v)
+            part = [v]
+            for u in part:  # the loop reaches the vertices it appends
+                for x, _, _ in incident[u]:
+                    if frozen[x] < 0 and x not in seen:
+                        seen.add(x)
+                        part.append(x)
+            parts.append(part)
+    del seen  # a deep recursion would otherwise hold one per level
     total = 1
     for part in parts:
+        if not total:
+            break
         if len(part) == 1:
             total *= 2
-        elif total:
-            total *= yield _split(eng, factors, part)
-    return total
-
-
-def _split(eng: TwoSatEngine, factors: Sequence, part: set[int]):
-    """The value of a connected part of two or more vertices, which it takes
-    over: the sum of two branches at one split vertex, or 2^k - rank when no
-    vertex splits."""
-    incident = eng.incident
-    # the vertex with the fewest live edges, a leaf when there is one
-    edges = None
-    for v in part:
-        own = [(x, hv, jx) for x, hv, jx in incident[v] if x in part]
-        if edges is None or len(own) < len(edges):
-            hs = {hv for _, hv, _ in own}
-            if len(hs) <= 2:
-                a, edges, sides = v, own, hs
-                if len(own) == 1:
-                    break
-    if edges is None:
-        index = _own_index(incident, sorted(part), eng.frozen)
-        return (1 << len(part)) - _verified_rank(index, factors)
-    # a in the kernel state of each of its factors; with one factor h,
-    # also in the state of overlap 1 with h, which every edge constrains
-    branches = [(h, [(x, jx) for x, hv, jx in edges if hv != h]) for h in sides]
-    if len(sides) == 1:
-        # frozen[a] = h misstates a in this branch, but every neighbour of
-        # a is pinned, so no part below has an edge at a to read it
-        branches.append((*sides, [(x, jx) for x, _, jx in edges]))
-    part.remove(a)
-    frozen = eng.frozen
-    total = 0
-    for h, starts in branches:
-        frozen[a] = h
-        pinned = eng.closure(starts)
-        if pinned is not None:
-            for x, s in pinned.items():
-                frozen[x] = s
-            total += yield _parts(eng, factors, part - pinned.keys())
-            for x in pinned:
-                frozen[x] = -1
-    frozen[a] = -1
+            continue
+        # the vertex with the fewest live edges, a leaf when there is one
+        edges = None
+        for v in part:
+            own = [(x, hv, jx) for x, hv, jx in incident[v] if frozen[x] < 0]
+            if edges is None or len(own) < len(edges):
+                hs = {hv for _, hv, _ in own}
+                if len(hs) <= 2:
+                    a, edges, sides = v, own, hs
+                    if len(own) == 1:
+                        break
+        if edges is None:
+            index = _own_index(incident, sorted(part), frozen)
+            total *= (1 << len(part)) - _verified_rank(index, factors)
+            continue
+        # a in the kernel state of each of its factors; with one factor h,
+        # also in the state of overlap 1 with h, which every edge constrains
+        branches = [(h, [(x, jx) for x, hv, jx in edges if hv != h]) for h in sides]
+        if len(sides) == 1:
+            # frozen[a] = h misstates a in this branch, but every neighbour
+            # of a is pinned, so no part below has an edge at a to read it
+            branches.append((*sides, [(x, jx) for x, _, jx in edges]))
+        value = 0
+        for h, pins in branches:
+            frozen[a] = h
+            pinned = eng.closure(pins)
+            if pinned is not None:
+                for x, s in pinned.items():
+                    frozen[x] = s
+                value += yield _product(eng, factors, part)
+                for x in pinned:
+                    frozen[x] = -1
+        frozen[a] = -1
+        total *= value
     return total
 
 

@@ -91,6 +91,8 @@ def test_two_disjoint_edges():
     # and the per-component route gives 3 * 3
     assert component_value(inst, (0, 1)) == 3
     assert component_value(inst, (2, 3)) == 3
+    # and one vertex set holding both parts
+    assert component_value(inst, (0, 1, 2, 3)) == 9
 
 
 def test_frustrated_instance_value_zero():
@@ -353,7 +355,7 @@ def _k5_tournament(pendant=0):
     return inst_of(5 + pendant, order, [edges[e] for e in order], 3)
 
 
-def test_stuck_component_goes_whole_to_the_rank(monkeypatch):
+def test_stuck_tournament_is_one_five_qubit_rank_leaf(monkeypatch):
     inst = _k5_tournament()
     comp = tuple(range(5))
     assert all({h for _, h, _ in inst.incident[v]} == {0, 1, 2} for v in comp)
@@ -362,6 +364,16 @@ def test_stuck_component_goes_whole_to_the_rank(monkeypatch):
     assert component_value(inst, comp) == 1
     assert calls == [(counting._own_index(inst.incident, comp, None), inst.dist.factors)]
     assert dense_component_value(inst, comp) == 1
+
+
+def test_disjoint_parts_count_apart(monkeypatch):
+    # the tournament and a disjoint (0, 1) edge on vertices 5 - 6, counted
+    # as one vertex set: 1 * 3, and only the tournament reaches the rank
+    rows = _k5_tournament().edge_array.tolist() + [[5, 6, 0, 1]]
+    inst = inst_of(7, [r[:2] for r in rows], [r[2:] for r in rows], 3)
+    calls = _spy(monkeypatch, "_verified_rank")
+    assert component_value(inst, range(7)) == 3
+    assert [len(index) for index, _ in calls] == [5]
 
 
 def test_rank_sees_only_the_stuck_core(monkeypatch):
