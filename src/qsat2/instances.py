@@ -175,12 +175,29 @@ class Instance:
 
         Entries follow `edge_array` order.  Code that needs one component's
         edges reads them here, in time proportional to the component.
+
+        Every edge gives two entries, listed v-side first: (u, j, h) at v for
+        each edge, then (v, h, j) at u.  One stable sort by the owning vertex
+        groups them per vertex and keeps that listing order within a group.
+        `Graph` keeps its edges canonical and sorted, so at a vertex x every
+        edge (a, x) comes before every edge (x, b) (a < x), and the two runs,
+        each in edge order, join into `edge_array` order.
         """
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for u, v, h, j in zip(*self.edge_array.T.tolist()):
-            out[u].append((v, h, j))
-            out[v].append((u, j, h))
-        return tuple(map(tuple, out))
+        u, v, h, j = self.edge_array.T
+        owner = np.concatenate((v, u))
+        order = np.argsort(owner, kind="stable")
+        # a list: tuple() over a zip grows its tuple by resizing, and each
+        # resize puts the whole tuple back in the collector's youngest
+        # generation, so young collections traverse it again and again
+        entries = list(
+            zip(
+                np.concatenate((u, v))[order].tolist(),
+                np.concatenate((j, h))[order].tolist(),
+                np.concatenate((h, j))[order].tolist(),
+            )
+        )
+        ends = np.cumsum(np.bincount(owner, minlength=self.n)).tolist()
+        return tuple(tuple(entries[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def sample_instance(g: Graph, dist: FactorDistribution, seed: int) -> Instance:
@@ -328,9 +345,54 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
-def _edge_rows(lines: Sequence[str]) -> Iterator[tuple[int, int, int, int]]:
-    """Each `E u v h j` line as (u, v, h - 1, j - 1); only the shape is checked."""
-    for ln in lines:
+EDGE_BLOCK = 4096  # edge lines read per block; bounds the transient token list
+
+
+def _edge_array(lines: Sequence[str]) -> np.ndarray:
+    """The `E u v h j` lines as (u, v, h - 1, j - 1) int64 rows, read
+    EDGE_BLOCK lines at a time; only the shape is checked.
+
+    A field past int64 raises OverflowError, as does an h or j of -2^63.
+    """
+    rows = np.empty((len(lines), 4), np.int64)
+    for start in range(0, len(lines), EDGE_BLOCK):
+        block = lines[start : start + EDGE_BLOCK]
+        rows[start : start + len(block)] = _edge_block(block)
+    return rows
+
+
+def _edge_block(block: Sequence[str]) -> np.ndarray:
+    """One block's rows from one split and one `int()` pass over its fields.
+
+    Joined with " ; ", k lines split into exactly 6k - 1 tokens, with "E"
+    at every 6th and ";" at every 6th + 5, when each line is five tokens led
+    by "E".  The other 4k tokens must then pass `int()`, so a ";" or "E"
+    that stands inside a line fails either there or at the "E" test.  A
+    block that fails a check is read again by `_edge_lines`.
+    """
+    k = len(block)
+    toks = " ; ".join(block).split()
+    if len(toks) == 6 * k - 1 and toks[::6].count("E") == k and toks[5::6].count(";") == k - 1:
+        del toks[5::6], toks[::5]
+        try:
+            rows = np.fromiter(map(int, toks), np.int64, 4 * k).reshape(k, 4)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if not (rows[:, 2:] == np.iinfo(np.int64).min).any():  # h - 1 would wrap
+                rows[:, 2:] -= 1
+                return rows
+    return _edge_lines(block)
+
+
+def _edge_lines(block: Sequence[str]) -> np.ndarray:
+    """One block read line by line: raises the error of its first bad line.
+
+    The one valid block that gets here holds an h or j of 2^63, which int64
+    cannot hold but whose h - 1 it can; its rows are returned.
+    """
+    rows = np.empty((len(block), 4), np.int64)
+    for i, ln in enumerate(block):
         parts = ln.split()
         if len(parts) != 5 or parts[0] != "E":
             raise InstanceParseError(f"bad edge line {ln!r}")
@@ -338,7 +400,8 @@ def _edge_rows(lines: Sequence[str]) -> Iterator[tuple[int, int, int, int]]:
             u, v, h, j = map(int, parts[1:])
         except ValueError:
             raise InstanceParseError(f"non-integer edge line {ln!r}") from None
-        yield u, v, h - 1, j - 1
+        rows[i] = u, v, h - 1, j - 1  # OverflowError past int64
+    return rows
 
 
 def parse_instance(text: str) -> Instance:
@@ -389,7 +452,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceParseError(f"bad weight in {ln!r}: {e}") from None
 
     try:
-        rows = np.fromiter(_edge_rows(body[2 * f :]), np.dtype((np.int64, 4)), m)
+        rows = _edge_array(body[2 * f :])
     except OverflowError:
         raise InstanceParseError("edge line field does not fit in int64") from None
 

@@ -41,7 +41,7 @@ from qsat2.graphs import (
     lattice_coord,
     lattice_vertex,
 )
-from qsat2.instances import FactorDistribution, Instance, satisfiable
+from qsat2.instances import FactorDistribution, Instance, InstanceParseError, satisfiable
 from qsat2.structure import Decomposition, component_cutoff, decouple
 from qsat2.twosat import TwoSatEngine, solve
 
@@ -559,6 +559,33 @@ def reference_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> Optional[s
             return f"edges not sorted and distinct at ({u},{v})"
         prev = (u, v)
     return None
+
+
+def reference_edge_rows(lines: Sequence[str]) -> Iterator[tuple[int, int, int, int]]:
+    """Each `E u v h j` line as (u, v, h - 1, j - 1), line by line."""
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != 5 or parts[0] != "E":
+            raise InstanceParseError(f"bad edge line {ln!r}")
+        try:
+            u, v, h, j = map(int, parts[1:])
+        except ValueError:
+            raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+        yield u, v, h - 1, j - 1
+
+
+def reference_edge_array(lines: Sequence[str]) -> np.ndarray:
+    """`instances._edge_array` as one streaming pass over the lines."""
+    return np.fromiter(reference_edge_rows(lines), np.dtype((np.int64, 4)), len(lines))
+
+
+def reference_incident(inst: Instance) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """`Instance.incident` by a per-edge loop: both entries of each edge in turn."""
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.n)]
+    for u, v, h, j in inst.edge_array.tolist():
+        out[u].append((v, h, j))
+        out[v].append((u, j, h))
+    return tuple(map(tuple, out))
 
 
 def reference_sample_er_graph(n: int, m: int, seed: int) -> Graph:

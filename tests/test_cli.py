@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from qsat2.cli import main
 from qsat2.graphs import Graph
-from qsat2.instances import FactorDistribution, load_instance, satisfiable, save_instance
+from qsat2.instances import (
+    EDGE_BLOCK,
+    FactorDistribution,
+    load_instance,
+    satisfiable,
+    save_instance,
+)
 from qsat2.sweep import generate_instance
 
 from oracles import (
@@ -363,6 +369,19 @@ def test_xi_non_finite_exits_2(capsys, rho):
     code, out, err = run_cli("xi", rho, capsys=capsys)
     assert code == 2 and out == ""
     assert "rho" in err
+
+
+def test_bad_edge_line_in_second_block_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.q2"
+    m = EDGE_BLOCK + 10
+    assert run_cli("gen", "--n", "3000", "--m", str(m), "--f", "2", "--out", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    i = len(lines) - m + EDGE_BLOCK + 5
+    lines[i] = lines[i].rsplit(" ", 1)[0]  # three numbers instead of four
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("count", str(path), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad edge line {lines[i]!r}\n"
 
 
 def test_parse_errors_exit_3(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from qsat2.instances import (
 from oracles import (
     naive_frustration_free,
     product_witness,
+    reference_edge_array,
     reference_edge_error,
+    reference_incident,
     reference_sample_er_graph,
     reference_sample_instance,
     sample_factor,
@@ -385,6 +389,135 @@ def test_parse_accepts_exactly_the_valid_edge_lines(rows, tidy):
         want = [(u, v, h - 1, j - 1) for u, v, h, j in rows]
         inst = parse_instance(text)
         assert inst.edge_array.tolist() == [list(r) for r in want]
+
+
+OVERSIZE_FIELDS = (str(2**63), str(-(2**63) - 1), str(-(2**63)), str(10**30))
+
+
+def _mutate_edge_line(lines: list[str], kind: str, i: int, draw) -> list[str]:
+    """`lines` with line i changed by one mutation of the given kind."""
+    ln = lines[i]
+    parts = ln.split(" ")
+    k = draw(st.integers(0, len(parts) - 1))
+    if kind == "missing":
+        new = [" ".join(parts[:k] + parts[k + 1 :])]
+    elif kind == "extra":
+        new = [" ".join(parts[:k] + ["7"] + parts[k:])]
+    elif kind == "glued":  # two lines joined into one
+        return lines[:i] + [ln + " " + "".join(lines[i + 1 : i + 2])] + lines[i + 2 :]
+    elif kind == "first":
+        new = [" ".join([draw(st.sampled_from(("e", "F", "EE", "E1", "1", "E;")))] + parts[1:])]
+    elif kind == "tabs":
+        new = [ln.replace(" ", "\t")]
+    elif kind == "spaces":
+        new = [ln.replace(" ", " " * draw(st.integers(2, 4)))]
+    elif kind == "leading":
+        new = [draw(st.sampled_from((" ", "\t", "  \t"))) + ln]
+    elif kind == "blank":
+        new = [draw(st.sampled_from(("", " ", "\t", " \t "))), ln]
+    elif kind == "signed":
+        parts[k] = draw(st.sampled_from(("+", "-", "+0", "-0"))) + parts[k]
+        new = [" ".join(parts)]
+    elif kind == "oversize":
+        parts[k] = draw(st.sampled_from(OVERSIZE_FIELDS))
+        new = [" ".join(parts)]
+    else:  # the block separator as a token of its own, or glued to a field
+        parts.insert(k, draw(st.sampled_from((";", "; E", ";;"))))
+        new = [" ".join(parts)]
+    return lines[:i] + new + lines[i + 1 :]
+
+
+EDGE_MUTATIONS = (
+    "missing", "extra", "glued", "first", "tabs", "spaces",
+    "leading", "blank", "signed", "oversize", "separator",
+)
+
+
+def _read_edges(reader, lines):
+    """The rows `reader` makes of `lines`, or the error parse_instance reports."""
+    try:
+        return reader(lines).tolist()
+    except OverflowError:
+        return "does not fit in int64"
+    except InstanceParseError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("block, examples", [(instances.EDGE_BLOCK, 20), (3, 1000)])
+def test_block_parser_matches_line_reader(block, examples):
+    # m one below, at and one above the block size, so that mutations land
+    # on both sides of a block boundary
+    @settings(max_examples=examples, deadline=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from((block - 1, block, block + 1)))
+        lines = [f"E {i} {i + 1 + i % 5} {1 + i % 3} {1 + i % 2}" for i in range(m)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(EDGE_MUTATIONS))
+            near_boundary = st.sampled_from((0, block - 2, block - 1, block, len(lines) - 1))
+            i = data.draw(st.one_of(near_boundary, st.integers(0, len(lines) - 1)))
+            lines = _mutate_edge_line(lines, kind, min(i, len(lines) - 1), data.draw)
+        # the lines as given, and as parse_instance hands them over
+        for section in (lines, [ln for ln in lines if ln.strip()]):
+            want = _read_edges(reference_edge_array, section)
+            assert _read_edges(instances._edge_array, section) == want
+
+    with mock.patch.object(instances, "EDGE_BLOCK", block):
+        check()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        # 6k - 1 tokens with "E" and ";" where the separators go: the real
+        # separator then stands where a field should
+        ["E 1 2 1 1 ; E 3 4 1", ""],
+        ["E 1 2 1 ; 1 E 3 4 1 1", "E 5 6 1 1"],
+        ["E 1 2 1 1", "; E 3 4 1 1"],
+        ["E 1 2 1 1 E", "3 4 1 1"],
+        # h - 1 fits in int64 only for h in -2^63 + 1 .. 2^63
+        ["E 0 1 1 1", f"E 2 3 {2**63} 1"],
+        [f"E 0 1 {-(2**63) + 1} {2**63}"],
+        [f"E {-(2**63)} 1 1 {-(2**63)}"],
+        [f"E 0 {2**63} 1 1"],
+    ],
+)
+def test_block_parser_matches_line_reader_on_edge_cases(block):
+    assert _read_edges(instances._edge_array, block) == _read_edges(reference_edge_array, block)
+
+
+def test_parse_error_in_second_block_names_the_line():
+    m = instances.EDGE_BLOCK + 10
+    inst = sample_instance(sample_er_graph(3000, m, seed=3), FactorDistribution.uniform(2), 4)
+    lines = format_instance(inst).splitlines()
+    i = len(lines) - m + instances.EDGE_BLOCK + 5
+    lines[i] += " 1"  # a sixth field
+    with pytest.raises(InstanceParseError, match=re.escape(f"bad edge line {lines[i]!r}")):
+        parse_instance("\n".join(lines) + "\n")
+
+
+INCIDENT_CASES = {
+    "er": lambda: sample_instance(sample_er_graph(200, 300, 1), FactorDistribution.uniform(3), 2),
+    "lat2": lambda: sample_instance(sample_lattice(2, 12, 0.6, 3), FactorDistribution.uniform(3), 4),
+    "lat3": lambda: sample_instance(sample_lattice(3, 5, 0.5, 5), FactorDistribution.uniform(2), 6),
+    "conditioned": lambda: sample_frustration_free_instance(
+        sample_er_graph(300, 750, 7), FactorDistribution.uniform(4), 8
+    ),
+    "m=0": lambda: Instance(Graph(5, ()), (), FactorDistribution.uniform(2)),
+    # vertices 0, 3 and the last one have no edge
+    "isolated": lambda: Instance(
+        Graph(6, [(1, 2), (1, 4), (2, 4)]), [(0, 1), (1, 0), (1, 1)], FactorDistribution.uniform(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INCIDENT_CASES)
+def test_incident_matches_per_edge_builder(case):
+    inst = INCIDENT_CASES[case]()
+    got = inst.incident
+    assert got == reference_incident(inst)
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(x) is int for row in got for entry in row for x in entry)
 
 
 def test_parse_rejects_misordered_edges():
