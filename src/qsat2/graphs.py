@@ -247,7 +247,8 @@ _CLASSES = ("tree", "unicyclic", "multicyclic")
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each vertex's component in the graph on range(n) with edges (u[i], v[i]),
     components numbered by their smallest vertex."""
-    graph = csr_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    # float64 data: csgraph would otherwise copy the data to float64 itself
+    graph = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
     ncomp, labels = connected_components(graph, directed=False)
     first = np.full(ncomp, n, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n))

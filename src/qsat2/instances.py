@@ -404,9 +404,22 @@ def _edge_lines(block: Sequence[str]) -> np.ndarray:
     return rows
 
 
+# the characters besides \n and \r at which `str.splitlines` ends a line
+STRAY_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_instance(text: str) -> Instance:
-    """Read the text form; `Graph` and `Instance` check the edges and factors."""
+    """Read the text form; `Graph` and `Instance` check the edges and factors.
+
+    A line ends at \\n, \\r\\n or \\r.  A line that holds one of
+    STRAY_BREAKS is an error that names it.
+    """
     lines = text.splitlines()
+    # away from the end of the text, a stray break adds a line to the \n count
+    if len(lines) != text.count("\n") + (text[-1:] not in ("", "\n")) or text[-1:] in STRAY_BREAKS:
+        for ln in text.replace("\r", "\n").split("\n"):
+            if any(c in ln for c in STRAY_BREAKS):
+                raise InstanceParseError(f"line break inside line {ln!r}")
     if not lines or lines[0] != FORMAT_MAGIC:
         raise InstanceParseError(f"expected leading {FORMAT_MAGIC!r} line")
     if len(lines) < 2:

@@ -2,12 +2,20 @@
 
 The frozen states are exactly the 2-SAT backbone: the kernel states that
 every satisfying product assignment shares.  `decouple` finds them in one
-pass.  One `twosat.solve` decides satisfiability; when the instance is
-unsatisfiable, it names the clashing vertices, and with them the frustrated
-components, and nothing is frozen.  Otherwise the backbone is found by
-probing each variable x[v,h] of the clause set, one per side of an edge,
-with the engine's denial closure: a state (v, h) that no edge at v carries
-on v's side has a denial closure with no start, which cannot collapse.
+pass over one literal graph, `twosat.literal_graph`.  Its labels decide
+satisfiability; when the instance is unsatisfiable, they name the clashing
+vertices, and with them the frustrated components, and nothing is frozen.
+Otherwise the backbone is found by probing each variable x[v,h] of the
+clause set, one per side of an edge, with the engine's denial closure: a
+state (v, h) that no edge at v carries on v's side has a denial closure
+with no start, which cannot collapse.  The probes take the states that the
+labels' model sets true first.  A backbone state is true in every model, so
+the entailed states are frozen early, and the denial closures of the
+states that the model sets false then stop at the frozen core instead of
+walking it.  The order decides the speed only: a probe's answer does not
+depend on it, so the frozen array is the backbone whatever numbering the
+SCC routine uses.
+
 Removing the frozen qubits leaves the residual components that `decouple`
 classifies and the counter counts one by one.  `frozen_subgraph` groups the
 frozen vertices by the edges that their frozen states leave unsatisfied and
@@ -15,7 +23,7 @@ returns the largest, the frozen core, after checking that no such edge
 leaves the frozen set, the closure the counter relies on.  `decouple`
 returns the one record that the sweep, `count` and `analyze` read.
 
-Only cyclic components reach the solve.  A tree component is always
+Only cyclic components reach the literal graph.  A tree component is always
 satisfiable, and its backbone is empty: a denial closure leaves its start
 along distinct edges into disjoint subtrees, never walks back over the edge
 it arrived by (that edge is satisfied at the vertex it reached), and so
@@ -43,7 +51,7 @@ from .graphs import (
     fields_equal,
 )
 from .instances import Instance
-from .twosat import TwoSatEngine, solve
+from .twosat import TwoSatEngine, literal_graph, solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,36 +81,37 @@ def _backbone(
 
     Returns (backbone, ()) when the instance is satisfiable and (None,
     frustrated) otherwise, frustrated being the ascending numbers in
-    `rep.labels` of the components whose vertices clash in the solve.
-    `rep` is the component report of the instance's graph.  Only the edges
-    of its cyclic components go to the one full solve: tree components are
-    satisfiable with an empty backbone (see the module docstring).  A state
-    (v, h) is entailed exactly when the closure of its denial collapses.
-    That closure starts at the far ends of v's edges that carry factor h on
-    v's side, so only the variables x[v,h] of the cyclic clause set, the
-    two sides of its edges, can be entailed, and those are the states
-    probed.  Each entailed state is frozen with its closure, so later
-    probes stop early at frozen states, and a frozen vertex is not probed
-    again.
+    `rep.labels` of the components whose vertices clash in the literal
+    graph.  `rep` is the component report of the instance's graph.  Only
+    the edges of its cyclic components go to the one literal graph: tree
+    components are satisfiable with an empty backbone (see the module
+    docstring).  A state (v, h) is entailed exactly when the closure of its
+    denial collapses.  That closure starts at the far ends of v's edges
+    that carry factor h on v's side, so only the variables x[v,h] of the
+    cyclic clause set, the two sides of its edges, can be entailed, and
+    those are the states probed, those that the labels' model sets true
+    first.  Each entailed state is frozen with its closure, so later probes
+    stop early at frozen states, and a frozen vertex is not probed again.
     """
     # a component is cyclic when it has at least as many edges as vertices
     cyclic = np.asarray(rep.edge_counts) >= np.asarray(rep.sizes)
     edges = inst.edge_array
-    edges = edges[cyclic[rep.labels[edges[:, 0]]]]
-    clashing = solve(edges)
-    if clashing:
-        return None, tuple(np.unique(rep.labels[clashing]).tolist())
-    if not len(edges):
+    vert, state, labels = literal_graph(edges[cyclic[rep.labels[edges[:, 0]]]])
+    pos, neg = labels[0::2], labels[1::2]
+    clash = pos == neg
+    if clash.any():
+        return None, tuple(np.unique(rep.labels[vert[clash]]).tolist())
+    if not len(vert):
         return np.full(inst.n, -1, dtype=np.int64), ()
-    # the key v*f + h of x[v,h] for both sides of every edge, ascending
-    f = inst.dist.f
-    keys = np.unique(edges[:, :2] * f + edges[:, 2:])
+    # the states that the labels' model sets true first (see the module docstring)
+    order = np.argsort(pos > neg, kind="stable")
     # the probes walk cyclic components only, whose edges the index lists
     eng = TwoSatEngine(inst.n, inst.incident)
-    for v, h in zip((keys // f).tolist(), (keys % f).tolist()):
-        if eng.frozen[v] < 0 and eng.pinned_to(v, h):
+    frozen = eng.frozen
+    for v, h in zip(vert[order].tolist(), state[order].tolist()):
+        if frozen[v] < 0 and eng.pinned_to(v, h):
             eng.freeze(v, h)
-    return np.array(eng.frozen, dtype=np.int64), ()
+    return np.array(frozen, dtype=np.int64), ()
 
 
 def frozen_subgraph(inst: Instance, frozen: np.ndarray) -> tuple[int, ...]:
@@ -167,7 +176,7 @@ def decouple(inst: Instance, cutoff_c: float = 3.0) -> Decomposition:
     something is frozen, `frozen_subgraph` checks the frozen set's closure
     and gives the frozen core.  The component report of the original graph
     rides along as `report`; on a frustrated instance `frustrated_components`
-    names the components whose vertices clash in the one solve.
+    names the components whose vertices clash in the one literal graph.
     """
     g = inst.graph
     rep = components(g)

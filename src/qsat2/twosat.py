@@ -22,18 +22,26 @@ propagation is linear.  `TwoSatEngine` answers these queries over a
 per-vertex edge index; its closure serves the conditioned sampler, the
 backbone probes and the split counter in `counting`.
 
-Deciding the whole clause set at once is `solve`, a function of an (m, 4)
-edge array.  It builds the literal graph in numpy and hands it to scipy's
-strongly connected components.  The clause set is unsatisfiable exactly
-when some variable shares a component with its negation, and the solve then
-names the vertices of every such variable.  Each clash lies inside one
-connected component of the interaction graph: every arc joins two variables
-of one vertex (at most one kernel state) or of the two ends of one edge, so
-a strongly connected component never spans two graph components.  The
-literal graph of a graph component's own clauses is the whole literal graph
-restricted to that component, so the component is unsatisfiable exactly
-when one of its vertices clashes: the clashing vertices name the frustrated
-components.
+Deciding the whole clause set at once starts from `literal_graph`, a
+function of an (m, 4) edge array.  It builds the literal graph in numpy,
+hands it to scipy's strongly connected components, and returns the
+variables, as (vertex, state) pairs ascending, with the component labels of
+their literals.  The clause set is unsatisfiable exactly when some variable
+shares a component with its negation; `solve` names the vertices of every
+such variable.  Each clash lies inside one connected component of the
+interaction graph: every arc joins two variables of one vertex (at most one
+kernel state) or of the two ends of one edge, so a strongly connected
+component never spans two graph components.  The literal graph of a graph
+component's own clauses is the whole literal graph restricted to that
+component, so the component is unsatisfiable exactly when one of its
+vertices clashes: the clashing vertices name the frustrated components.
+
+On a satisfiable clause set the labels also give a model, as in Aspvall,
+Plass and Tarjan (1979): scipy numbers the components in reverse
+topological order, so setting x true exactly when label[x] < label[not x]
+satisfies every clause.  Nothing here relies on that numbering for a
+result.  The backbone probes in `structure` read the model only to order
+their queries, and any numbering gives the same frozen states.
 """
 
 from __future__ import annotations
@@ -82,9 +90,9 @@ class TwoSatEngine:
         state.  Expansion stops at frozen states, which the map leaves out:
         their consequences are frozen too.
         """
-        frozen = self.frozen
+        frozen, incident = self.frozen, self.incident
         visited: dict[int, int] = {}
-        queue: list[tuple[int, int]] = []
+        queue: list[int] = []
         for v, s in starts:
             fv = frozen[v]
             if fv >= 0:
@@ -94,11 +102,12 @@ class TwoSatEngine:
             seen = visited.get(v)
             if seen is None:
                 visited[v] = s
-                queue.append((v, s))
+                queue.append(v)
             elif seen != s:
                 return None
-        for v, s in queue:  # the loop reaches the states it appends
-            for w, hv, jw in self.incident[v]:
+        for v in queue:  # the loop reaches the vertices it appends
+            s = visited[v]
+            for w, hv, jw in incident[v]:
                 if hv == s:
                     continue
                 fw = frozen[w]
@@ -109,7 +118,7 @@ class TwoSatEngine:
                 seen = visited.get(w)
                 if seen is None:
                     visited[w] = jw
-                    queue.append((w, jw))
+                    queue.append(w)
                 elif seen != jw:
                     return None
         return visited
@@ -154,17 +163,20 @@ class TwoSatEngine:
             self.frozen[v] = s
 
 
-def solve(edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
-    """Clashing vertices of the clause set of the (u, v, h, j) rows `edges`.
+def literal_graph(
+    edges: Sequence[tuple[int, int, int, int]] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The variables of the (u, v, h, j) rows `edges` and their literals' SCCs.
 
-    Returns, ascending, the vertices with a variable in its negation's
-    strongly connected component.  The list is empty exactly when the
-    clause set is satisfiable.
+    Returns (vert, state, labels): variable i is x[vert[i], state[i]], the
+    variables ascend by (vertex, state), and labels[2i] and labels[2i + 1]
+    number the strongly connected components of x_i and of its negation.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
     m = len(edges)
     if m == 0:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     u, v, h, j = edges.T
     f = int(max(h.max(), j.max())) + 1
     # variable x[v,s] has key v*f + s; sorted keys keep each vertex's
@@ -185,8 +197,18 @@ def solve(edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
     src = np.concatenate((2 * pu + 1, 2 * pv + 1, 2 * a, 2 * b))
     dst = np.concatenate((2 * pv, 2 * pu, 2 * b + 1, 2 * a + 1))
     nlit = 2 * len(keys)
-    graph = csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(nlit, nlit)
-    )
+    # float64 data: csgraph would otherwise copy the data to float64 itself
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(nlit, nlit))
     _, labels = connected_components(graph, directed=True, connection="strong")
+    return vert, keys - vert * f, labels
+
+
+def solve(edges: Sequence[tuple[int, int, int, int]] | np.ndarray) -> list[int]:
+    """Clashing vertices of the clause set of the (u, v, h, j) rows `edges`.
+
+    Returns, ascending, the vertices with a variable in its negation's
+    strongly connected component.  The list is empty exactly when the
+    clause set is satisfiable.
+    """
+    vert, _, labels = literal_graph(edges)
     return np.unique(vert[labels[0::2] == labels[1::2]]).tolist()

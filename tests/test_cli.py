@@ -384,6 +384,18 @@ def test_bad_edge_line_in_second_block_exits_3(tmp_path, capsys):
     assert err == f"error: bad edge line {lines[i]!r}\n"
 
 
+@pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x1d", "\x1e"])
+def test_stray_line_break_in_an_edge_line_exits_3_naming_it(tmp_path, capsys, brk):
+    path = tmp_path / "i.q2"
+    assert run_cli("gen", "--n", "8", "--m", "4", "--f", "2", "--out", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    lines[-2] = lines[-2].replace(" ", brk)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("count", str(path), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: line break inside line {lines[-2]!r}\n"
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.q2"
     bad.write_text("QSAT2 v1\nnot a header\n")

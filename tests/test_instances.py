@@ -496,6 +496,32 @@ def test_parse_error_in_second_block_names_the_line():
         parse_instance("\n".join(lines) + "\n")
 
 
+def test_stray_breaks_are_the_other_splitlines_breaks():
+    breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == set(instances.STRAY_BREAKS) | {"\n", "\r"}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_parse_reads_every_newline_convention(end):
+    inst = sample_instance(sample_er_graph(6, 4, seed=0), FactorDistribution.uniform(2), seed=1)
+    lines = format_instance(inst).splitlines()
+    assert parse_instance(end.join(lines) + end) == inst
+    assert parse_instance(end.join(lines)) == inst
+
+
+@pytest.mark.parametrize("brk", list(instances.STRAY_BREAKS))
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("where", ["separators", "line end", "text end"])
+def test_parse_names_the_line_with_a_stray_break(brk, end, where):
+    inst = sample_instance(sample_er_graph(6, 4, seed=0), FactorDistribution.uniform(2), seed=1)
+    lines = format_instance(inst).splitlines()
+    i = len(lines) - 2 if where != "text end" else len(lines) - 1
+    lines[i] = lines[i].replace(" ", brk) if where == "separators" else lines[i] + brk
+    text = end.join(lines) + (end if where != "text end" else "")
+    with pytest.raises(InstanceParseError, match=f"^line break inside line {re.escape(repr(lines[i]))}$"):
+        parse_instance(text)
+
+
 INCIDENT_CASES = {
     "er": lambda: sample_instance(sample_er_graph(200, 300, 1), FactorDistribution.uniform(3), 2),
     "lat2": lambda: sample_instance(sample_lattice(2, 12, 0.6, 3), FactorDistribution.uniform(3), 4),

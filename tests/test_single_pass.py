@@ -1,9 +1,11 @@
-"""One whole-instance 2-SAT solve and one components pass per instance.
+"""One whole-instance literal graph and one components pass per instance.
 
-Deciding, freezing and decoupling share a single 2-SAT `solve`, and every
-consumer (the counter, the sweep, the CLI) reads the decomposition that
-`decouple` built instead of deciding the instance again.  On a frustrated
-instance the same solve names the frustrated components.  Code that needs
+Deciding, freezing and decoupling share a single 2-SAT literal graph,
+built by `twosat.literal_graph`: its SCC labels decide the instance and
+order the backbone probes.  Every consumer (the counter, the sweep, the
+CLI) reads the decomposition that `decouple` built instead of deciding the
+instance again.  On a frustrated instance the same labels name the
+frustrated components.  Code that needs
 one component's edges reads them from the instance's incident index, which
 is built once per instance.  Partitions travel as label arrays; only the
 counter turns one into vertex tuples, once per instance it counts.
@@ -62,9 +64,10 @@ def _count_calls(monkeypatch, originals):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count 2-SAT solves and component passes."""
+    """Count literal-graph builds and component passes."""
     return _count_calls(
-        monkeypatch, {"solve": qsat2.twosat.solve, "components": qsat2.graphs.components}
+        monkeypatch,
+        {"literal_graph": qsat2.twosat.literal_graph, "components": qsat2.graphs.components},
     )
 
 
@@ -93,7 +96,7 @@ def frustrated_instance():
 
 
 def _assert_single_pass(calls, per=1):
-    assert calls == {"solve": per, "components": per}
+    assert calls == {"literal_graph": per, "components": per}
 
 
 def test_decouple_solves_once(calls, sat_instance):
@@ -112,7 +115,7 @@ def test_cli_solves_once(
     calls, sat_instance, frustrated_instance, tmp_path, capsys, command
 ):
     for name, inst in (("sat", sat_instance), ("frustrated", frustrated_instance)):
-        calls.update(solve=0, components=0)
+        calls.update(literal_graph=0, components=0)
         path = str(tmp_path / f"{name}.q2")
         save_instance(inst, path)
         assert main([command, path]) == 0
@@ -192,7 +195,7 @@ def test_decomposition_value_builds_incident_index_once(incident_builds, sat_ins
 
 def test_frustration_certificate_builds_no_incident_index(incident_builds, monkeypatch):
     # without loop explanations the certificate reads the frustrated
-    # components of the one solve, which needs no incident index
+    # components of the one literal graph, which needs no incident index
     monkeypatch.setattr(oracles, "vertex_options", lambda inst: {})
     for seed in range(20):
         inst = generate_instance(

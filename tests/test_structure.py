@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from functools import cached_property
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsat2.structure as structure
+import qsat2.twosat as twosat
 from qsat2.counting import instance_value
 from qsat2.graphs import (
     FigureEight,
@@ -353,13 +355,13 @@ def test_forest_never_reaches_the_solve(n, f, data):
     order = sorted(range(len(edges)), key=edges.__getitem__)
     inst = inst_of(n, [edges[i] for i in order], [pairs[i] for i in order], f)
     seen = []
-    solve = structure.solve
+    literal_graph = structure.literal_graph
 
     def spy(edges):
         seen.append(len(edges))
-        return solve(edges)
+        return literal_graph(edges)
 
-    with mock.patch.object(structure, "solve", spy):
+    with mock.patch.object(structure, "literal_graph", spy):
         dec = decouple(inst)
     assert seen == [0]
     assert dec.frozen.tolist() == [-1] * n and reference_backbone(inst) == {}
@@ -381,6 +383,103 @@ def test_frustrated_decouple_builds_no_incident_index(monkeypatch):
     b = [(2, 3), (2, 3), (3, 2)]
     assert decouple(build_figure_eight(a, b)).label == "frustrated"
     assert builds == []
+
+
+@contextmanager
+def _reversed_scc_labels():
+    """Number the literal graph's SCCs the other way round, which turns the
+    witness that the backbone probes read from the labels into its complement."""
+    scc = twosat.connected_components
+
+    def reversed_labels(graph, **kw):
+        ncomp, labels = scc(graph, **kw)
+        return ncomp, labels.max() - labels
+
+    with mock.patch.object(twosat, "connected_components", reversed_labels):
+        yield
+
+
+def _backbone_states(inst):
+    """`_backbone` as (frozen array or None, frustrated components)."""
+    frozen, frustrated = structure._backbone(inst, components(inst.graph))
+    return (None if frozen is None else frozen.tolist()), frustrated
+
+
+# sizes at which a satisfiable sample soon freezes something at every f:
+# sparse ones under `any`, which frustrates denser ones, and large frozen
+# cores under `free`
+_PROBE_CASES = {
+    ("er", "any"): dict(n=200, m=120),
+    ("er", "free"): dict(n=200, m=500),
+    ("lat2", "any"): dict(L=12, p=0.45),
+    ("lat2", "free"): dict(L=12, p=0.65),
+    ("lat3", "any"): dict(L=5, p=0.35),
+    ("lat3", "free"): dict(L=5, p=0.45),
+}
+
+
+@pytest.mark.parametrize("model, cond", sorted(_PROBE_CASES))
+@pytest.mark.parametrize("f", [2, 3, 4, 5, 6])
+def test_backbone_probe_order_matches_reference(model, cond, f):
+    # the first satisfiable seed with a frozen state, which only a cyclic
+    # component can hold
+    for seed in range(40):
+        inst = generate_instance(
+            model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond,
+            **_PROBE_CASES[model, cond],
+        )
+        frozen = reference_backbone(inst)
+        if frozen:
+            break
+    else:
+        pytest.fail("no satisfiable seed freezes anything")
+    want = frozen_states(inst.n, frozen).tolist()
+    assert _backbone_states(inst) == (want, ())
+    # the probe order is the witness's, but the frozen states are not
+    with _reversed_scc_labels():
+        assert _backbone_states(inst) == (want, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["er", "lat2"]),
+    st.integers(2, 4),
+    st.sampled_from(["any", "free"]),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.data(),
+)
+def test_backbone_matches_brute_force_under_either_numbering(model, f, cond, seed, flip, data):
+    if model == "er":
+        n = data.draw(st.integers(2, _MAX_BRUTE_N[f]))
+        kw = dict(n=n, m=data.draw(st.integers(n - 1, min(2 * n, n * (n - 1) // 2))))
+    else:
+        kw = dict(L=3 if f == 2 else 2, p=data.draw(st.floats(0.5, 1.0)))
+    inst = generate_instance(
+        model=model, dist=FactorDistribution.uniform(f), seed=seed, cond=cond, **kw
+    )
+    backbone = brute_force_backbone(inst)
+    if flip:
+        with _reversed_scc_labels():
+            frozen, frustrated = _backbone_states(inst)
+    else:
+        frozen, frustrated = _backbone_states(inst)
+    if backbone is None:
+        assert frozen is None and frustrated == decouple(inst).frustrated_components != ()
+    else:
+        assert (frozen, frustrated) == (frozen_states(inst.n, backbone).tolist(), ())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reversed_scc_labels_keep_the_clash_set(seed):
+    # a frustrated giant component next to satisfiable trees
+    inst = generate_instance(
+        model="er", dist=FactorDistribution.uniform(2), seed=seed, n=300, m=450
+    )
+    frozen, frustrated = _backbone_states(inst)
+    assert frozen is None and frustrated
+    with _reversed_scc_labels():
+        assert _backbone_states(inst) == (None, frustrated)
 
 
 def test_frozen_subgraph_core():

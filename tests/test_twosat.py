@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsat2.twosat import TwoSatEngine, solve
+from qsat2.twosat import TwoSatEngine, literal_graph, solve
 
 from oracles import UnionFind, brute_force_kernel_assignment, reference_pinned_to, reference_solve
 
@@ -218,3 +218,25 @@ def test_solve_names_the_clashing_vertices_on_unsat():
     # two vertices, f=2: the four edges demand every pairing at once
     edges = [(0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]
     assert solve(edges) == [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_systems())
+def test_literal_graph_variables_and_witness(sys_):
+    n, edges = sys_
+    vert, state, labels = literal_graph(edges)
+    # one variable per side of an edge, ascending by (vertex, state)
+    sides = sorted({(u, h) for u, _, h, _ in edges} | {(v, j) for _, v, _, j in edges})
+    assert list(zip(vert.tolist(), state.tolist())) == sides
+    assert len(labels) == 2 * len(sides)
+    pos, neg = labels[0::2], labels[1::2]
+    if (pos == neg).any():
+        return
+    # scipy numbers the SCCs in reverse topological order, so x is true in
+    # a model when its label is below its negation's; the backbone probes
+    # read that model for their order, and would only run slower without it
+    states = [None] * n
+    for v, h in zip(vert[pos < neg].tolist(), state[pos < neg].tolist()):
+        assert states[v] is None
+        states[v] = h
+    _assert_witness(states, edges)
