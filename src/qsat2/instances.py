@@ -245,15 +245,15 @@ def sample_frustration_free_instance(g: Graph, dist: FactorDistribution, seed: i
     case; the budget guards against defects, not bad luck).
 
     The partial instance is satisfiable, so the pair is acceptable exactly
-    when x[u,h] or x[v,j] is feasible, and each `feasible` query is one
-    closure.  The engine's frozen states are the one cache: when one side
-    is infeasible the other is entailed once the edge is in, and freezing
-    it keeps the cache closed under the closure's transition, so later
-    closures stop there.  Only entailed states are frozen, so the cache
-    shortens closures without changing an answer.  Tree components need no
-    shortcut: a freeze follows a clash, which needs a cycle, so a tree
-    component holds no frozen state, and a closure inside one never
-    conflicts (see `structure`); `feasible` answers True there by itself.
+    when x[u,h] or x[v,j] is feasible.  The engine keeps a model of the
+    partial instance: a `feasible` query is True at once when the model
+    already has the state, and otherwise walks only the vertices the model
+    would have to change, moving the model onto what it finds.  The
+    engine's frozen states shorten the rest: when one side is infeasible
+    the other is entailed once the edge is in, and freezing it keeps the
+    frozen states closed under the search's transition, so later searches
+    stop there.  Only entailed states are frozen, so neither the model nor
+    the frozen states change an answer (see `twosat`).
     """
     rng = random.Random(seed)
     order = list(range(g.m))
@@ -350,9 +350,13 @@ EDGE_BLOCK = 4096  # edge lines read per block; bounds the transient token list
 
 def _edge_array(lines: Sequence[str]) -> np.ndarray:
     """The `E u v h j` lines as (u, v, h - 1, j - 1) int64 rows, read
-    EDGE_BLOCK lines at a time; only the shape is checked.
+    EDGE_BLOCK lines at a time; only the shape and the field spelling are
+    checked.
 
-    A field past int64 raises OverflowError, as does an h or j of -2^63.
+    A field is read only as `format_instance` writes it, in ASCII decimal
+    digits with no sign, underscore or leading zero, so one instance has one
+    file; `int()` alone would also read "+1", "-0", "00" and "2_0".  A field
+    past int64 raises OverflowError.
     """
     rows = np.empty((len(lines), 4), np.int64)
     for start in range(0, len(lines), EDGE_BLOCK):
@@ -361,45 +365,75 @@ def _edge_array(lines: Sequence[str]) -> np.ndarray:
     return rows
 
 
+# the powers of ten that int64 holds, past 1: a count of digits
+_POW10 = [10**e for e in range(1, 19)]
+
+
 def _edge_block(block: Sequence[str]) -> np.ndarray:
     """One block's rows from one split and one `int()` pass over its fields.
 
     Joined with " ; ", k lines split into exactly 6k - 1 tokens, with "E"
     at every 6th and ";" at every 6th + 5, when each line is five tokens led
     by "E".  The other 4k tokens must then pass `int()`, so a ";" or "E"
-    that stands inside a line fails either there or at the "E" test.  A
-    block that fails a check is read again by `_edge_lines`.
+    that stands inside a line fails either there or at the "E" test.
+
+    The spelling is checked by length.  An ASCII field that `int()` reads
+    is at least as long as its value's digit count (taken as 1 for a
+    negative value), and only as long when it has no sign, underscore or
+    leading zero; and 6k - 1 tokens need at least 6k - 2 separators.  So
+    the joined text is at least 8k - 3 plus the digit counts long, and
+    exactly that long only when every field is a plain decimal and every
+    separator one character.  A block that fails a check is read again by
+    `_edge_lines`, which names the bad line.
     """
     k = len(block)
-    toks = " ; ".join(block).split()
-    if len(toks) == 6 * k - 1 and toks[::6].count("E") == k and toks[5::6].count(";") == k - 1:
+    text = " ; ".join(block)
+    toks = text.split()
+    if (
+        text.isascii()
+        and len(toks) == 6 * k - 1
+        and toks[::6].count("E") == k
+        and toks[5::6].count(";") == k - 1
+    ):
         del toks[5::6], toks[::5]
         try:
             rows = np.fromiter(map(int, toks), np.int64, 4 * k).reshape(k, 4)
         except (ValueError, OverflowError):
             pass
         else:
-            if not (rows[:, 2:] == np.iinfo(np.int64).min).any():  # h - 1 would wrap
+            top = int(rows.max())
+            digits = 4 * k + sum(int(np.count_nonzero(rows >= p)) for p in _POW10 if p <= top)
+            if len(text) == 8 * k - 3 + digits:
                 rows[:, 2:] -= 1
                 return rows
     return _edge_lines(block)
 
 
+def _plain_decimal(field: str) -> bool:
+    """Is `field` spelled as `format_instance` writes a number?"""
+    return field.isascii() and field.isdigit() and (field[0] != "0" or field == "0")
+
+
 def _edge_lines(block: Sequence[str]) -> np.ndarray:
     """One block read line by line: raises the error of its first bad line.
 
-    The one valid block that gets here holds an h or j of 2^63, which int64
-    cannot hold but whose h - 1 it can; its rows are returned.
+    A valid block gets here when it holds an h or j of 2^63, which int64
+    cannot hold but whose h - 1 it can, or a run of separators; its rows
+    are returned.
     """
     rows = np.empty((len(block), 4), np.int64)
     for i, ln in enumerate(block):
         parts = ln.split()
         if len(parts) != 5 or parts[0] != "E":
             raise InstanceParseError(f"bad edge line {ln!r}")
-        try:
-            u, v, h, j = map(int, parts[1:])
-        except ValueError:
-            raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+        for field in parts[1:]:
+            if not _plain_decimal(field):
+                try:
+                    int(field)
+                except ValueError:
+                    raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+                raise InstanceParseError(f"non-canonical integer in edge line {ln!r}")
+        u, v, h, j = map(int, parts[1:])
         rows[i] = u, v, h - 1, j - 1  # OverflowError past int64
     return rows
 

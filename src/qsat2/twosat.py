@@ -19,8 +19,29 @@ different states to one vertex.  The closure records each vertex at most
 once (a second state at a vertex is the conflict that ends it), so one
 uncapped BFS answers an incremental query in O(n + m): 2-SAT unit
 propagation is linear.  `TwoSatEngine` answers these queries over a
-per-vertex edge index; its closure serves the conditioned sampler, the
-backbone probes and the split counter in `counting`.
+per-vertex edge index, with one search routine that serves the
+conditioned sampler, the backbone probes and the split counter in
+`counting`.
+
+A satisfying assignment M at hand lets a query walk less, in the
+model-relative form of unit propagation.  The search from (u, k) moves a
+vertex only when it forces it into a state other than M's, and expands
+only the vertices it moves; a vertex forced into its M state is left as it
+is.  Suppose the search finds no clash, and let M' be M overwritten by the
+moved vertices' states; M' satisfies every clause.  Take an edge (a, b, p,
+q) with a moved to some s != p.  Expanding a forced b to q.  If b had
+already moved, to t != q, that was a clash.  If it had not, M[b] = q or b
+moved to q then.  Were b moved later to some t != q, its expansion would
+force a to p against a's mark: a clash.  So M'[b] = q.  An edge is thus
+satisfied in M' when an end moved off its own side's state, at once when
+an end moved onto it, and by M when neither end moved.  Each forced state
+is entailed by x[u,k], so a clash means that x[u,k] forces two states at
+one vertex.  The search therefore answers as the full closure does, and on
+success M' is the next model.  Frozen states agree with M and are closed
+under the transition, so a vertex forced into its frozen state stays put
+and one forced out of it is a clash, with the same argument.  A full
+closure is the search that keeps only the frozen states, so its states,
+too, move M to a model.
 
 Deciding the whole clause set at once starts from `literal_graph`, a
 function of an (m, 4) edge array.  It builds the literal graph in numpy,
@@ -46,7 +67,7 @@ their queries, and any numbering gives the same frozen states.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -66,62 +87,113 @@ class TwoSatEngine:
     entailed states, and `freeze` keeps the cache closed under the BFS transition.
     The split counter freezes a branch's assumption and its closure, and
     resets them once the branch is counted.
+
+    `model` is a satisfying assignment of the clauses, a factor index per
+    vertex and -1 for no kernel state, that agrees with `frozen`.  A grown
+    engine starts with the all -1 model of no clauses, and `add_edge`,
+    `feasible` and `freeze` keep it one; `add_edge` drops it (None) once
+    the clauses become unsatisfiable.  An engine over a fixed index has no
+    model, and its queries are full closures.
+
+    Every query is one `_search`, which works in buffers the engine owns: an
+    epoch-stamped mark and state per vertex and one reused queue.  A search's
+    results stay valid only until the next search starts, so `closure`
+    hands back a copy.
     """
 
-    __slots__ = ("incident", "frozen")
+    __slots__ = ("incident", "frozen", "model", "_mark", "_state", "_queue", "_epoch")
 
     def __init__(
         self, n: int, incident: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None
     ):
+        self.model: Optional[list[int]] = [-1] * n if incident is None else None
         self.incident = [[] for _ in range(n)] if incident is None else incident
         self.frozen: list[int] = [-1] * n
+        self._mark = [0] * n
+        self._state = [0] * n
+        self._queue: list[int] = []
+        self._epoch = 0
 
     def add_edge(self, u: int, v: int, h: int, j: int) -> None:
+        """Add the clause (x[u,h] or x[v,j]), moving the model onto it.
+
+        A model that fails the clause moves, through `feasible`, to the
+        first of x[u,h] and x[v,j] that its search finds feasible.  The
+        search forces that side, so the clause holds there and the module
+        docstring's proof goes through although the model fails it.  When
+        neither side is feasible, the clauses are now unsatisfiable and the
+        model is dropped.
+        """
         self.incident[u].append((v, h, j))
         self.incident[v].append((u, j, h))
+        model = self.model
+        if model is not None and model[u] != h and model[v] != j:
+            if not (self.feasible(u, h) or self.feasible(v, j)):
+                self.model = None
 
-    # -- BFS closure ------------------------------------------------------
+    # -- the one search ---------------------------------------------------
+
+    def _search(self, starts: Iterable[tuple[int, int]], keep: list[int]) -> bool:
+        """Force `starts` and what they entail; False on a clash.
+
+        The search moves a vertex by forcing it into a state other than its
+        `keep` state: it marks the vertex with this search's epoch, records
+        the state in `_state` and expands it, and `_queue` lists the moved
+        vertices in order.  A vertex forced into its `keep` state is left as
+        it is.  A clash is a vertex forced two ways, or out of a frozen
+        state.  `keep` is `frozen` for a full closure, whose moved vertices
+        are then exactly the newly forced ones, or the model, which agrees
+        with `frozen`; the module docstring proves that either way the
+        answer is the full closure's.  A marked vertex is never frozen, so
+        the mark is read first.
+        """
+        frozen, incident, mark, state, queue = (
+            self.frozen, self.incident, self._mark, self._state, self._queue
+        )
+        epoch = self._epoch = self._epoch + 1
+        queue.clear()
+        for v, s in starts:
+            if mark[v] == epoch:
+                if state[v] != s:
+                    return False
+            elif keep[v] != s:
+                if frozen[v] >= 0:
+                    return False
+                mark[v] = epoch
+                state[v] = s
+                queue.append(v)
+        for v in queue:  # the loop reaches the vertices it appends
+            s = state[v]
+            for w, hv, jw in incident[v]:
+                if hv == s:
+                    continue
+                if mark[w] == epoch:
+                    if state[w] != jw:
+                        return False
+                elif keep[w] != jw:
+                    if frozen[w] >= 0:
+                        return False
+                    mark[w] = epoch
+                    state[w] = jw
+                    queue.append(w)
+        return True
 
     def closure(self, starts: Sequence[tuple[int, int]]) -> Optional[dict[int, int]]:
-        """States newly forced by `starts`, as a vertex -> factor map.
+        """States newly forced by `starts`, as a new vertex -> factor map.
 
         Returns the map when the closure is a consistent partial assignment,
         and None when some vertex is forced two ways or contradicts a frozen
         state.  Expansion stops at frozen states, which the map leaves out:
         their consequences are frozen too.
         """
-        frozen, incident = self.frozen, self.incident
-        visited: dict[int, int] = {}
-        queue: list[int] = []
-        for v, s in starts:
-            fv = frozen[v]
-            if fv >= 0:
-                if fv != s:
-                    return None
-                continue
-            seen = visited.get(v)
-            if seen is None:
-                visited[v] = s
-                queue.append(v)
-            elif seen != s:
-                return None
-        for v in queue:  # the loop reaches the vertices it appends
-            s = visited[v]
-            for w, hv, jw in incident[v]:
-                if hv == s:
-                    continue
-                fw = frozen[w]
-                if fw >= 0:
-                    if fw != jw:
-                        return None
-                    continue
-                seen = visited.get(w)
-                if seen is None:
-                    visited[w] = jw
-                    queue.append(w)
-                elif seen != jw:
-                    return None
-        return visited
+        if not starts:  # the split counter's branches often pin nothing
+            return {}
+        if not self._search(starts, self.frozen):
+            return None
+        state, forced = self._state, {}
+        for v in self._queue:  # a loop: a comprehension's own frame costs more here
+            forced[v] = state[v]
+        return forced
 
     # -- queries ----------------------------------------------------------
 
@@ -129,13 +201,26 @@ class TwoSatEngine:
         """Can some satisfying assignment put u in factor-k's kernel state?
 
         Assumes the current clause set is satisfiable.  Then x[u,k] is
-        feasible exactly when its closure is consistent, so the one
-        closure, O(n + m), is the whole query.
+        feasible exactly when its closure is consistent, so one search,
+        O(n + m), is the whole query.  With a model the answer is True at
+        once when the model has u in state k, and otherwise the search
+        walks only the vertices the model would have to change, and moves
+        the model onto what it found.
         """
-        fu = self.frozen[u]
-        if fu >= 0:
-            return fu == k
-        return self.closure([(u, k)]) is not None
+        frozen = self.frozen
+        if frozen[u] >= 0:
+            return frozen[u] == k
+        model = self.model
+        if model is None:
+            return self._search(((u, k),), frozen)
+        if model[u] == k:
+            return True
+        if not self._search(((u, k),), model):
+            return False
+        state = self._state
+        for v in self._queue:
+            model[v] = state[v]
+        return True
 
     def pinned_to(self, u: int, k: int) -> bool:
         """Does every satisfying assignment put u in factor-k's kernel state?
@@ -149,18 +234,26 @@ class TwoSatEngine:
         join distinct vertices).  The one closure, O(n + m), is the whole
         query.
         """
-        fu = self.frozen[u]
-        if fu >= 0:
-            return fu == k
-        return self.closure([(w, jw) for w, hv, jw in self.incident[u] if hv == k]) is None
+        frozen = self.frozen
+        if frozen[u] >= 0:
+            return frozen[u] == k
+        return not self._search([(w, jw) for w, hv, jw in self.incident[u] if hv == k], frozen)
 
     def freeze(self, u: int, k: int) -> None:
-        """Record that x[u,k] is entailed, together with its full closure."""
-        visited = self.closure([(u, k)])
-        if visited is None:
+        """Record that x[u,k] is entailed, together with its full closure.
+
+        The model takes the closure's states too, which keeps it satisfying
+        (the module docstring's proof, for the search that keeps only the
+        frozen states).
+        """
+        frozen, model, state = self.frozen, self.model, self._state
+        if not self._search(((u, k),), frozen):
             raise AssertionError("freeze called on a non-entailed state")
-        for v, s in visited.items():
-            self.frozen[v] = s
+        for v in self._queue:
+            frozen[v] = state[v]
+        if model is not None:
+            for v in self._queue:
+                model[v] = state[v]
 
 
 def literal_graph(

@@ -10,6 +10,7 @@ loop option sets behind frustration certificates.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from qsat2.graphs import (
     lattice_coord,
     lattice_vertex,
 )
+from qsat2 import instances
 from qsat2.instances import FactorDistribution, Instance, InstanceParseError, satisfiable
 from qsat2.structure import Decomposition, component_cutoff, decouple
 from qsat2.twosat import TwoSatEngine, solve
@@ -562,15 +564,24 @@ def reference_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> Optional[s
 
 
 def reference_edge_rows(lines: Sequence[str]) -> Iterator[tuple[int, int, int, int]]:
-    """Each `E u v h j` line as (u, v, h - 1, j - 1), line by line."""
+    """Each `E u v h j` line as (u, v, h - 1, j - 1), line by line.
+
+    A field must match 0|[1-9][0-9]*, the way `format_instance` writes it;
+    one that `int()` reads all the same is non-canonical, the rest are
+    non-integer.
+    """
     for ln in lines:
         parts = ln.split()
         if len(parts) != 5 or parts[0] != "E":
             raise InstanceParseError(f"bad edge line {ln!r}")
-        try:
-            u, v, h, j = map(int, parts[1:])
-        except ValueError:
-            raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+        for field in parts[1:]:
+            if not re.fullmatch("0|[1-9][0-9]*", field, re.ASCII):
+                try:
+                    int(field)
+                except ValueError:
+                    raise InstanceParseError(f"non-integer edge line {ln!r}") from None
+                raise InstanceParseError(f"non-canonical integer in edge line {ln!r}")
+        u, v, h, j = map(int, parts[1:])
         yield u, v, h - 1, j - 1
 
 
@@ -673,6 +684,112 @@ def naive_frustration_free(
             if rejected >= budget:
                 raise RuntimeError("budget exhausted in reference sampler")
     return Instance(g, tuple(pairs), dist, "free", seed, resamples)
+
+
+def reference_closure(
+    incident: Sequence[Sequence[tuple[int, int, int]]],
+    frozen: Sequence[int],
+    starts: Sequence[tuple[int, int]],
+) -> Optional[dict[int, int]]:
+    """States newly forced by `starts`, by a BFS with its own dict and queue.
+
+    This is the closure `TwoSatEngine` ran on every query before it kept a
+    model and its own search buffers: None on a vertex forced two ways or
+    against a frozen state, expansion stopping at frozen states.
+    """
+    visited: dict[int, int] = {}
+    queue: list[int] = []
+    for v, s in starts:
+        fv = frozen[v]
+        if fv >= 0:
+            if fv != s:
+                return None
+            continue
+        seen = visited.get(v)
+        if seen is None:
+            visited[v] = s
+            queue.append(v)
+        elif seen != s:
+            return None
+    for v in queue:
+        s = visited[v]
+        for w, hv, jw in incident[v]:
+            if hv == s:
+                continue
+            fw = frozen[w]
+            if fw >= 0:
+                if fw != jw:
+                    return None
+                continue
+            seen = visited.get(w)
+            if seen is None:
+                visited[w] = jw
+                queue.append(w)
+            elif seen != jw:
+                return None
+    return visited
+
+
+def reference_frustration_free_instance(
+    g: Graph, dist: FactorDistribution, seed: int
+) -> Instance:
+    """The conditioned sampler as it was before the engine kept a model.
+
+    Every feasibility query is a full `reference_closure` over the partial
+    instance's own edge index, and the only cache is the frozen states: when
+    one side of an accepted pair is infeasible, the other is frozen with its
+    closure.  The draws are the sampler's: the same shuffle and the same
+    buffered factor stream.
+    """
+    rng = random.Random(seed)
+    order = list(range(g.m))
+    for i in range(g.m - 1, 0, -1):
+        k = rng.randrange(i + 1)
+        order[i], order[k] = order[k], order[i]
+    draw = instances._index_stream(dist, rng, 2 * g.m).__next__
+
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    frozen = [-1] * g.n
+
+    def feasible(u: int, k: int) -> bool:
+        if frozen[u] >= 0:
+            return frozen[u] == k
+        return reference_closure(incident, frozen, [(u, k)]) is not None
+
+    def freeze(u: int, k: int) -> None:
+        visited = reference_closure(incident, frozen, [(u, k)])
+        assert visited is not None, "freeze called on a non-entailed state"
+        for v, s in visited.items():
+            frozen[v] = s
+
+    us, vs = g.edge_array.T.tolist()
+    hs, js = [0] * g.m, [0] * g.m
+    resamples = 0
+    for idx in order:
+        u, v = us[idx], vs[idx]
+        rejected = 0
+        while True:
+            h = draw()
+            j = draw()
+            if frozen[u] == h or frozen[v] == j:
+                sat_u = sat_v = True
+            else:
+                sat_u, sat_v = feasible(u, h), feasible(v, j)
+                if not (sat_u or sat_v):
+                    rejected += 1
+                    resamples += 1
+                    if rejected >= instances.RESAMPLE_BUDGET:
+                        raise instances.ResampleBudgetError(u, v, instances.RESAMPLE_BUDGET)
+                    continue
+            hs[idx], js[idx] = h, j
+            incident[u].append((v, h, j))
+            incident[v].append((u, j, h))
+            if not sat_v:
+                freeze(u, h)
+            elif not sat_u:
+                freeze(v, j)
+            break
+    return Instance(g, np.column_stack((hs, js)), dist, "free", seed, resamples)
 
 
 def xi_series(rho: float, terms: int = 4000) -> float:

@@ -384,6 +384,20 @@ def test_bad_edge_line_in_second_block_exits_3(tmp_path, capsys):
     assert err == f"error: bad edge line {lines[i]!r}\n"
 
 
+@pytest.mark.parametrize("spelled", ["00", "+1", "2_0", "-0"])
+def test_non_canonical_edge_field_exits_3_naming_the_line(tmp_path, capsys, spelled):
+    path = tmp_path / "i.q2"
+    assert run_cli("gen", "--n", "8", "--m", "4", "--f", "2", "--out", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    parts = lines[-2].split(" ")
+    parts[3] = spelled
+    lines[-2] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("count", str(path), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: non-canonical integer in edge line {lines[-2]!r}\n"
+
+
 @pytest.mark.parametrize("brk", ["\f", "\v", "\x1c", "\x1d", "\x1e"])
 def test_stray_line_break_in_an_edge_line_exits_3_naming_it(tmp_path, capsys, brk):
     path = tmp_path / "i.q2"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qsat2 import instances
 from qsat2.exactq import bra
-from qsat2.graphs import Graph, sample_er_graph, sample_lattice
+from qsat2.graphs import LATTICE_DIMS, Graph, sample_er_graph, sample_lattice
 from qsat2.instances import (
     FactorDistribution,
     Instance,
@@ -31,6 +31,7 @@ from oracles import (
     product_witness,
     reference_edge_array,
     reference_edge_error,
+    reference_frustration_free_instance,
     reference_incident,
     reference_sample_er_graph,
     reference_sample_instance,
@@ -178,6 +179,16 @@ def test_sample_instance_edge_cases_match_reference():
             _same_instance(sample_instance(g, dist, 7), reference_sample_instance(g, dist, 7))
 
 
+def _same_draws(g, dist, seed):
+    # the model-relative searches must accept and reject exactly the pairs
+    # that full closures with no model do, so every draw lands the same
+    fast = sample_frustration_free_instance(g, dist, seed)
+    ref = reference_frustration_free_instance(g, dist, seed)
+    assert fast.edge_array.tobytes() == ref.edge_array.tobytes()
+    assert fast.resamples == ref.resamples
+    _same_instance(fast, ref)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(2, 4), st.sampled_from(["er", "lat2"]), st.data())
 def test_conditioned_sampler_matches_full_resolve_reference(seed, f, model, data):
@@ -194,6 +205,7 @@ def test_conditioned_sampler_matches_full_resolve_reference(seed, f, model, data
     ref = naive_frustration_free(g, dist, seed)
     _same_instance(fast, ref)
     assert satisfiable(fast)
+    _same_draws(g, dist, seed)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +231,35 @@ def test_conditioned_sampler_matches_reference_on_larger_instances(model, size, 
     fast = sample_frustration_free_instance(g, dist, seed)
     _same_instance(fast, naive_frustration_free(g, dist, seed))
     assert satisfiable(fast)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "model, size, density, f",
+    [
+        ("er", 1500, 1.6, 2),
+        ("er", 1500, 1.2, 3),
+        ("er", 1500, 1.25, 4),
+        ("er", 1500, 1.4, 5),
+        ("lat2", 30, 0.6, 3),
+        ("lat3", 9, 0.35, 4),
+    ],
+)
+def test_conditioned_sampler_matches_the_full_closure_sampler(model, size, density, f, seed):
+    if model == "er":
+        g = sample_er_graph(size, round(density * size), seed)
+    else:
+        g = sample_lattice(LATTICE_DIMS[model], size, density, seed)
+    _same_draws(g, FactorDistribution.uniform(f), seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+@pytest.mark.parametrize("weights", [(3, 1), (5, 2, 1)])
+def test_conditioned_sampler_matches_the_full_closure_sampler_under_bias(weights, seed):
+    # a heavy first factor drifts the instance toward monotone edges; at
+    # this density both weight lists reject pairs on every seed
+    dist = FactorDistribution.from_weights([Fraction(w) for w in weights])
+    _same_draws(sample_er_graph(1500, 3000, seed), dist, seed)
 
 
 def test_resample_budget_guard_raises(monkeypatch):
@@ -418,6 +459,18 @@ def _mutate_edge_line(lines: list[str], kind: str, i: int, draw) -> list[str]:
     elif kind == "signed":
         parts[k] = draw(st.sampled_from(("+", "-", "+0", "-0"))) + parts[k]
         new = [" ".join(parts)]
+    elif kind == "spelled":  # a number int() reads but format_instance never writes
+        digits = parts[k]
+        parts[k] = draw(
+            st.sampled_from(
+                (
+                    "0" + digits,
+                    digits[:1] + "_" + digits[1:] if len(digits) > 1 else digits + "_0",
+                    digits.translate({c: c - 48 + 0xFF10 for c in range(48, 58)}),
+                )
+            )
+        )
+        new = [" ".join(parts)]
     elif kind == "oversize":
         parts[k] = draw(st.sampled_from(OVERSIZE_FIELDS))
         new = [" ".join(parts)]
@@ -429,7 +482,7 @@ def _mutate_edge_line(lines: list[str], kind: str, i: int, draw) -> list[str]:
 
 EDGE_MUTATIONS = (
     "missing", "extra", "glued", "first", "tabs", "spaces",
-    "leading", "blank", "signed", "oversize", "separator",
+    "leading", "blank", "signed", "spelled", "oversize", "separator",
 )
 
 
@@ -493,6 +546,34 @@ def test_parse_error_in_second_block_names_the_line():
     i = len(lines) - m + instances.EDGE_BLOCK + 5
     lines[i] += " 1"  # a sixth field
     with pytest.raises(InstanceParseError, match=re.escape(f"bad edge line {lines[i]!r}")):
+        parse_instance("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, spelled",
+    [
+        (0, "00"),
+        (0, "-0"),
+        (0, "+0"),
+        (1, "+2"),
+        (2, "01"),
+        (2, "1_0"),
+        (3, "-1"),
+        (0, "\uff10"),  # a fullwidth zero, which int() reads as 0
+    ],
+)
+@pytest.mark.parametrize("where", ["first block", "second block"])
+def test_parse_rejects_an_edge_field_that_format_never_writes(field, spelled, where):
+    # one instance, one file: `E 00 2 +1 1` must not read as `E 0 2 1 1`
+    m = instances.EDGE_BLOCK + 10
+    inst = sample_instance(sample_er_graph(3000, m, seed=3), FactorDistribution.uniform(2), 4)
+    lines = format_instance(inst).splitlines()
+    i = len(lines) - m + (instances.EDGE_BLOCK + 5 if where == "second block" else 3)
+    parts = lines[i].split(" ")
+    parts[1 + field] = spelled
+    lines[i] = " ".join(parts)
+    msg = f"non-canonical integer in edge line {lines[i]!r}"
+    with pytest.raises(InstanceParseError, match=f"^{re.escape(msg)}$"):
         parse_instance("\n".join(lines) + "\n")
 
 

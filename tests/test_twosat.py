@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from qsat2.twosat import TwoSatEngine, literal_graph, solve
 
-from oracles import UnionFind, brute_force_kernel_assignment, reference_pinned_to, reference_solve
+from oracles import (
+    UnionFind,
+    brute_force_kernel_assignment,
+    reference_closure,
+    reference_pinned_to,
+    reference_solve,
+)
 
 
 @st.composite
@@ -128,6 +134,100 @@ def test_closure_is_the_newly_forced_states(sys_, data):
             if eng.frozen[v] < 0 and ext[0][v] < f and all(a[v] == ext[0][v] for a in ext)
         }
         assert got == forced, starts
+
+
+def _assert_model(eng, edges):
+    # a satisfying assignment of every clause so far, -1 for no kernel
+    # state, that agrees with every frozen state
+    model = eng.model
+    assert model is not None
+    for u, v, h, j in edges:
+        assert model[u] == h or model[v] == j, (u, v, h, j)
+    for v, s in enumerate(eng.frozen):
+        if s >= 0:
+            assert model[v] == s, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems(), st.data())
+def test_model_is_kept_while_the_engine_grows(sys_, data):
+    n, f, edges = sys_
+    edges = data.draw(st.permutations(edges))
+    eng = TwoSatEngine(n)
+    assert eng.model == [-1] * n
+    state = st.tuples(st.integers(0, n - 1), st.integers(0, f - 1))
+    for i, e in enumerate(edges):
+        eng.add_edge(*e)
+        sats = _satisfying(n, f, edges[: i + 1])
+        if not sats:
+            # the clauses are unsatisfiable: the model is dropped for good,
+            # and the full searches still answer as stand-alone BFSs do
+            assert eng.model is None
+            for u in range(n):
+                for k in range(f):
+                    assert eng.pinned_to(u, k) is reference_pinned_to(eng, u, k), (u, k)
+                    starts = [(u, k)]
+                    assert eng.closure(starts) == reference_closure(eng.incident, eng.frozen, starts)
+            continue
+        _assert_model(eng, edges[: i + 1])
+        for u, k in data.draw(st.lists(state, max_size=4)):
+            want = any(a[u] == k for a in sats)
+            assert eng.feasible(u, k) is want, (u, k)
+            _assert_model(eng, edges[: i + 1])
+            if want:
+                assert eng.model[u] == k
+        if data.draw(st.booleans()):
+            # freeze one backbone state, as the sampler freezes entailed ones
+            backbone = [(v, s) for v, s in enumerate(sats[0]) if s < f and all(a[v] == s for a in sats)]
+            if backbone:
+                eng.freeze(*data.draw(st.sampled_from(backbone)))
+                _assert_model(eng, edges[: i + 1])
+
+
+def test_add_edge_moves_the_model_onto_a_failed_clause():
+    eng = TwoSatEngine(3)
+    eng.add_edge(0, 1, 0, 0)
+    assert eng.model == [0, -1, -1]  # the first side is feasible
+    eng.add_edge(0, 1, 0, 1)  # the model meets this one already
+    assert eng.model == [0, -1, -1]
+    # x[0,1] would need 1 in states 0 and 1, so the second side moves
+    eng.add_edge(0, 2, 1, 0)
+    assert eng.model == [0, -1, 0]
+    # x[1,1] forces 0 into state 0, where the model has it already
+    eng.add_edge(1, 2, 1, 1)
+    assert eng.model == [0, 1, 0]
+    # a move that carries a neighbour with it
+    eng = TwoSatEngine(2)
+    eng.add_edge(0, 1, 0, 0)
+    eng.add_edge(0, 1, 1, 1)
+    assert eng.model == [1, 0]
+
+
+def test_add_edge_drops_the_model_once_unsatisfiable():
+    # two vertices, f=2: the four edges demand every pairing at once
+    eng = TwoSatEngine(2)
+    for e in [(0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 1)]:
+        eng.add_edge(*e)
+        assert eng.model is not None
+    eng.add_edge(0, 1, 1, 0)
+    assert eng.model is None
+    assert eng.closure([(0, 0)]) is None and eng.closure([(1, 1)]) is None
+    assert eng.pinned_to(0, 0) is reference_pinned_to(eng, 0, 0)
+
+
+def test_an_engine_over_a_fixed_index_has_no_model():
+    eng = TwoSatEngine(2, [[(1, 0, 0)], [(0, 0, 0)]])
+    assert eng.model is None
+    assert eng.feasible(0, 1) is True
+
+
+def test_closure_is_a_copy_that_outlives_the_next_search():
+    eng = TwoSatEngine(4)
+    eng.add_edge(0, 1, 0, 0)
+    eng.add_edge(2, 3, 0, 0)
+    first = eng.closure([(0, 1)])
+    assert eng.closure([(2, 1)]) == {2: 1, 3: 0}
+    assert first == {0: 1, 1: 0}
 
 
 def test_queries_on_a_long_chain():
